@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotTwoPlayer, SizeLimitExceeded
@@ -95,12 +96,16 @@ def is_mixed_ne(game: Bimatrix, x: Sequence[Fraction], y: Sequence[Fraction]) ->
     return True
 
 
-def _solve(rows: list[list[Fraction]], nvars: int):
-    """Gauss-Jordan over Fractions on an augmented matrix.
+def _solve(rows: list[list[int]], nvars: int):
+    """Gauss-Jordan over the integers on an augmented matrix.
 
-    Returns (solution, status) where status is "unique", "degenerate"
-    (consistent but underdetermined; free variables pinned to zero) or
-    "inconsistent" (solution is None).
+    Rows are combined fraction-free (each step scales the target row by the
+    pivot and divides out the row's gcd), so the pivot columns, and with
+    them the reduced row echelon form, are those of elimination over the
+    rationals; only the solution is built from Fractions.  Returns
+    (solution, status) where status is "unique", "degenerate" (consistent
+    but underdetermined; free variables pinned to zero) or "inconsistent"
+    (solution is None).
     """
     work = [row[:] for row in rows]
     n = len(work)
@@ -111,12 +116,14 @@ def _solve(rows: list[list[Fraction]], nvars: int):
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c]
-        work[r] = [v / inv for v in work[r]]
+        top = work[r]
+        p = top[c]
         for i in range(n):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+            f = work[i][c]
+            if i != r and f != 0:
+                row = [p * v - f * w for v, w in zip(work[i], top)]
+                g = gcd(*row)
+                work[i] = [v // g for v in row] if g > 1 else row
         pivots.append((r, c))
         r += 1
         if r == n:
@@ -126,26 +133,42 @@ def _solve(rows: list[list[Fraction]], nvars: int):
             return None, "inconsistent"
     solution = [Fraction(0)] * nvars
     for row, col in pivots:
-        solution[col] = work[row][nvars]
+        solution[col] = Fraction(work[row][nvars], work[row][col])
     return solution, ("unique" if len(pivots) == nvars else "degenerate")
 
 
-def _indifference_solution(matrix: Matrix, rows: tuple[int, ...], cols: tuple[int, ...], by_row: bool):
-    """Mixing over ``cols`` (or rows) equalizing the opponent's payoff on the support.
+def _integer_lines(lines) -> list[tuple[list[int], int]]:
+    """Each line of Fractions times the lcm of its denominators, with that lcm."""
+    out = []
+    for line in lines:
+        scale = lcm(*(v.denominator for v in line))
+        out.append(([v.numerator * (scale // v.denominator) for v in line], scale))
+    return out
 
-    ``by_row=True`` solves for the column player's vector y from A;
-    ``by_row=False`` solves for the row player's vector x from B.
+
+def _indifference_solution(lines, own: tuple[int, ...], other: tuple[int, ...]):
+    """Mixing over ``other`` equalizing the opponent's payoff on ``own``.
+
+    ``lines`` comes from ``_integer_lines``: the rows of A (solving for the
+    column player's vector y, ``own`` = support rows) or the columns of B
+    (solving for the row player's vector x, ``own`` = support columns).
+    Scaling an equation leaves its solutions alone, so each line's scale
+    multiplies its -1 on the value variable.
     """
-    r = len(rows)
-    system: list[list[Fraction]] = []
-    if by_row:
-        for i in rows:
-            system.append([matrix[i][j] for j in cols] + [Fraction(-1), Fraction(0)])
-    else:
-        for j in cols:
-            system.append([matrix[i][j] for i in rows] + [Fraction(-1), Fraction(0)])
-    system.append([Fraction(1)] * r + [Fraction(0), Fraction(1)])
+    r = len(other)
+    system = [[lines[i][0][j] for j in other] + [-lines[i][1], 0] for i in own]
+    system.append([1] * r + [0, 1])
     return _solve(system, r + 1)
+
+
+def _no_better_reply(lines, support: tuple[int, ...], weights, value: Fraction) -> bool:
+    """Whether no line of ``_integer_lines`` pays more than ``value`` against
+    the mix ``weights`` on ``support``; exact, in integers."""
+    den = lcm(value.denominator, *(w.denominator for w in weights))
+    mix = [w.numerator * (den // w.denominator) for w in weights]
+    target = value.numerator * (den // value.denominator)
+    return all(sum(line[j] * w for j, w in zip(support, mix)) <= scale * target
+               for line, scale in lines)
 
 
 def _embed(weights: list[Fraction], support: tuple[int, ...], size: int) -> tuple[Fraction, ...]:
@@ -167,33 +190,39 @@ def support_enumeration(
     m, k = game.shape
     if m > max_actions or k > max_actions:
         raise SizeLimitExceeded(f"{m}x{k} exceeds the {max_actions}-action bound")
+    a_rows = _integer_lines(game.a)
+    b_cols = _integer_lines(zip(*game.b))
     found: dict[tuple, MixedEquilibrium] = {}
     for size in range(1, min(m, k) + 1):
         for rows in combinations(range(m), size):
             for cols in combinations(range(k), size):
-                ys, y_status = _indifference_solution(game.a, rows, cols, by_row=True)
-                if y_status == "inconsistent":
+                # the indifference equations make x'Ay = u and x'By = v, so
+                # the two _no_better_reply checks together are is_mixed_ne;
+                # y and its check come first, so x is solved for fewer pairs
+                ys, y_status = _indifference_solution(a_rows, rows, cols)
+                if y_status == "inconsistent" or any(w < 0 for w in ys[:size]):
                     continue
-                xs, x_status = _indifference_solution(game.b, rows, cols, by_row=False)
-                if x_status == "inconsistent":
+                u = ys[size]
+                if not _no_better_reply(a_rows, cols, ys[:size], u):
+                    continue
+                xs, x_status = _indifference_solution(b_cols, cols, rows)
+                if x_status == "inconsistent" or any(w < 0 for w in xs[:size]):
+                    continue
+                v = xs[size]
+                if not _no_better_reply(b_cols, rows, xs[:size], v):
                     continue
                 x = _embed(xs[:size], rows, m)
                 y = _embed(ys[:size], cols, k)
-                if any(v < 0 for v in x) or any(v < 0 for v in y):
-                    continue
                 degenerate = (
                     x_status == "degenerate"
                     or y_status == "degenerate"
                     or any(x[i] == 0 for i in rows)
                     or any(y[j] == 0 for j in cols)
                 )
-                if not is_mixed_ne(game, x, y):
-                    continue
                 key = (x, y)
                 prev = found.get(key)
                 if prev is None:
-                    found[key] = MixedEquilibrium(
-                        x, y, expected_payoff(game, x, y), degenerate)
+                    found[key] = MixedEquilibrium(x, y, (u, v), degenerate)
                 elif degenerate and not prev.degenerate:
                     found[key] = MixedEquilibrium(prev.x, prev.y, prev.values, True)
     return list(found.values())

@@ -13,9 +13,11 @@ All payoffs are exact rationals; nothing here is ever rounded.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -84,6 +86,54 @@ class CapabilityGame:
         acts1 = tuple(f"r{i + 1}" for i in range(rows))
         acts2 = tuple(f"c{j + 1}" for j in range(cols))
         return cls((acts1, acts2), (c1, c2), pay)
+
+    @cached_property
+    def _pure_transfer(self) -> dict[tuple[int, ...], frozenset[PayoffVector]]:
+        """Every capability profile's pure-NE payoff set, from one pass.
+
+        Levels are prefixes of the action list, so profile s is an
+        equilibrium on a box of capability profiles: player p's level must
+        contain s_p and must end before p's first strictly better deviation
+        against s_-p.  Each profile's payoff vector is added to every cell of
+        its box.  Computed on first use; the game must not be mutated after.
+        """
+        counts = [len(a) for a in self.actions]
+        profiles = list(product(*(range(k) for k in counts)))
+        vectors = [self.payoffs[s] for s in profiles]
+        # top[p][i]: number of p's levels that exclude p's first strictly
+        # better deviation from profiles[i] (all levels when there is none)
+        top = []
+        stride = len(profiles)
+        for p, (k, chain) in enumerate(zip(counts, self.cutoffs)):
+            stride //= k
+            ends = [0] * len(profiles)
+            for base, s in enumerate(profiles):
+                if s[p]:
+                    continue
+                column = [vectors[base + a * stride][p] for a in range(k)]
+                # the first action strictly better than v is the first place
+                # the running maximum exceeds v
+                running = list(accumulate(column, max))
+                for a, v in enumerate(column):
+                    ends[base + a * stride] = bisect_right(chain, bisect_right(running, v))
+            top.append(ends)
+        # bottom[p][a]: number of p's levels too small to contain action a
+        bottom = [[bisect_right(chain, a) for a in range(k)]
+                  for k, chain in zip(counts, self.cutoffs)]
+        cells: dict[tuple[int, ...], set[PayoffVector]] = {
+            cap: set() for cap in product(*(range(1, len(c) + 1) for c in self.cutoffs))}
+        for i, s in enumerate(profiles):
+            box = []
+            for p, a in enumerate(s):
+                lo, hi = bottom[p][a], top[p][i]
+                if lo >= hi:
+                    break
+                box.append(range(lo + 1, hi + 1))
+            else:
+                vec = vectors[i]
+                for cap in product(*box):
+                    cells[cap].add(vec)
+        return {cap: frozenset(v) for cap, v in cells.items()}
 
 
 class Positivity(enum.Enum):
@@ -180,8 +230,13 @@ def enumerate_pure_ne(
 def ctf_pure(
     game: CapabilityGame, capability: Sequence[int]
 ) -> frozenset[PayoffVector]:
-    """Pure capability transfer function: equilibrium payoff vectors at ``capability``."""
-    return frozenset(game.payoffs[s] for s in enumerate_pure_ne(game, capability))
+    """Pure capability transfer function: equilibrium payoff vectors at ``capability``.
+
+    The first call on a game computes every capability profile in one pass
+    over the full profiles; later calls are lookups.
+    """
+    restricted_sizes(game, capability)
+    return game._pure_transfer[tuple(capability)]
 
 
 def equilibrium_welfare_levels(game: CapabilityGame) -> list[frozenset[Fraction]]:

@@ -30,6 +30,9 @@ from .rationals import format_rational
 
 DEFAULT_MAX_SCALE = 3
 
+# largest payoff table PayoffTable may allocate; M=3 needs 134 MB, M=4 34 GB
+MAX_TABLE_BYTES = 1 << 30
+
 _SELF_CHECK_PAIRS = 200
 
 
@@ -53,6 +56,11 @@ def enumerate_strategies(
     return out
 
 
+def table_bytes(scale: int) -> int:
+    """Size of the int64 payoff table over every strategy pair at ``scale``."""
+    return (2 ** (4 * scale)) ** 2 * 8
+
+
 class PayoffTable:
     """Scaled-integer payoff matrix over every strategy at one (scale, rho, mu).
 
@@ -62,6 +70,10 @@ class PayoffTable:
     """
 
     def __init__(self, scale: int, rho: Fraction, mu: Fraction):
+        if table_bytes(scale) > MAX_TABLE_BYTES:
+            raise ScaleLimitExceeded(
+                f"scale {scale} needs a {table_bytes(scale)}-byte payoff table, "
+                f"over the {MAX_TABLE_BYTES}-byte limit")
         self.scale = scale
         self.rho, self.mu = rho, mu
         self.strategies: list[Strategy] = list(product((0, 1), repeat=4 * scale))
@@ -148,7 +160,8 @@ class PayoffTable:
         ]
 
 
-@lru_cache(maxsize=8)
+# one table at a time: at M=3 each holds 134 MB
+@lru_cache(maxsize=1)
 def _table(scale: int, rho: Fraction, mu: Fraction) -> PayoffTable:
     return PayoffTable(scale, rho, mu)
 

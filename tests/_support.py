@@ -8,7 +8,8 @@ bug in the library cannot hide behind itself.
 from __future__ import annotations
 
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 
 def coverage_by_rule(f):
@@ -77,3 +78,77 @@ def segments_of(f):
 
 def all_strategies(scale):
     return list(product((0, 1), repeat=4 * scale))
+
+
+def pure_ne_payoffs_by_sweep(game, capability):
+    """Payoff vectors of every pure equilibrium at ``capability``, by a raw
+    deviation sweep over the restricted spaces read off ``game.cutoffs``."""
+    sizes = [game.cutoffs[p][c - 1] for p, c in enumerate(capability)]
+    found = set()
+    for s in product(*(range(k) for k in sizes)):
+        here = game.payoffs[s]
+        if all(game.payoffs[s[:p] + (alt,) + s[p + 1:]][p] <= here[p]
+               for p in range(len(sizes)) for alt in range(sizes[p])):
+            found.add(here)
+    return found
+
+
+def _solve_over_fractions(rows, nvars):
+    """Gauss-Jordan over Fractions; free variables pinned to zero."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(nvars):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        work[r] = [v / work[r][c] for v in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                work[i] = [v - work[i][c] * w for v, w in zip(work[i], work[r])]
+        pivots.append((r, c))
+    if any(row[nvars] != 0 for row in work[len(pivots):]):
+        return None, "inconsistent"
+    solution = [Fraction(0)] * nvars
+    for r, c in pivots:
+        solution[c] = work[r][nvars]
+    return solution, ("unique" if len(pivots) == nvars else "degenerate")
+
+
+def support_enumeration_over_fractions(a, b):
+    """(x, y, values, degenerate) of every equal-support equilibrium of the
+    bimatrix game (a, b), in the order and with the flags of
+    ``bimatrix.support_enumeration``, by elimination over Fractions and a
+    full pure-deviation check."""
+    m, k = len(a), len(a[0])
+    found = {}
+    for size in range(1, min(m, k) + 1):
+        for rows, cols in product(combinations(range(m), size),
+                                  combinations(range(k), size)):
+            ys, y_status = _solve_over_fractions(
+                [[a[i][j] for j in cols] + [-1, 0] for i in rows]
+                + [[1] * size + [0, 1]], size + 1)
+            xs, x_status = _solve_over_fractions(
+                [[b[i][j] for i in rows] + [-1, 0] for j in cols]
+                + [[1] * size + [0, 1]], size + 1)
+            if "inconsistent" in (x_status, y_status):
+                continue
+            x, y = [Fraction(0)] * m, [Fraction(0)] * k
+            for w, i in zip(xs, rows):
+                x[i] = w
+            for w, j in zip(ys, cols):
+                y[j] = w
+            x, y = tuple(x), tuple(y)
+            if min(x + y) < 0:
+                continue
+            va = sum(x[i] * a[i][j] * y[j] for i in range(m) for j in range(k))
+            vb = sum(x[i] * b[i][j] * y[j] for i in range(m) for j in range(k))
+            if (any(sum(a[i][j] * y[j] for j in range(k)) > va for i in range(m))
+                    or any(sum(x[i] * b[i][j] for i in range(m)) > vb for j in range(k))):
+                continue
+            degenerate = ("degenerate" in (x_status, y_status)
+                          or 0 in [x[i] for i in rows] + [y[j] for j in cols])
+            prev = found.get((x, y))
+            found[(x, y)] = (x, y, (va, vb), degenerate or (prev is not None and prev[3]))
+    return list(found.values())

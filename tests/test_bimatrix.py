@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgames import (
     Bimatrix,
@@ -15,6 +17,7 @@ from capgames import (
 )
 from capgames.bimatrix import expected_payoff
 from capgames.errors import DimensionMismatch, NotTwoPlayer, SizeLimitExceeded
+from tests._support import support_enumeration_over_fractions
 
 F = Fraction
 
@@ -90,6 +93,20 @@ def test_every_reported_equilibrium_verifies():
             assert sum(eq.x) == 1 and sum(eq.y) == 1
             assert all(p >= 0 for p in eq.x + eq.y)
             assert eq.values == expected_payoff(game, eq.x, eq.y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_support_enumeration_matches_elimination_over_fractions(data):
+    # small value sets make ties, singular systems and degenerate cells
+    # common; the halves and thirds exercise the scaling to integers
+    values = st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2), F(-2, 3)))
+    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a, b = (data.draw(st.lists(st.lists(values, min_size=k, max_size=k),
+                               min_size=m, max_size=m)) for _ in range(2))
+    found = support_enumeration(Bimatrix(a=a, b=b))
+    assert [(eq.x, eq.y, eq.values, eq.degenerate) for eq in found] == (
+        support_enumeration_over_fractions(a, b))
 
 
 def test_pure_equilibria_appear_as_unit_vectors():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -23,6 +24,7 @@ from capgames.errors import (
     UnequalBounds,
 )
 from capgames.game import restricted_sizes
+from tests._support import pure_ne_payoffs_by_sweep
 
 # 2x2 game in which giving player 1 a second action strictly lowers their
 # equilibrium payoff: the canonical "more options can hurt" example used
@@ -107,6 +109,10 @@ def test_restricted_sizes_and_bounds_checks():
         restricted_sizes(SHRINK, (1, 1, 1))
     with pytest.raises(OutOfBounds):
         is_pure_ne(SHRINK, (1, 1), (1, 0))  # action outside the level-1 space
+    with pytest.raises(OutOfBounds):
+        ctf_pure(SHRINK, (3, 1))
+    with pytest.raises(OutOfBounds):
+        ctf_pure(SHRINK, (1, 1, 1))
 
 
 def test_pure_ne_respects_restriction():
@@ -121,6 +127,7 @@ def test_pure_ne_respects_restriction():
 def test_ctf_on_shrinking_example():
     assert ctf_pure(SHRINK, (1, 1)) == frozenset({(1, 2)})
     assert ctf_pure(SHRINK, (2, 1)) == frozenset({(0, 2)})
+    assert ctf_pure(SHRINK, [2, 1]) == frozenset({(0, 2)})
 
 
 def test_player_one_payoff_drops_when_their_space_grows():
@@ -174,6 +181,39 @@ def test_enumerated_equilibria_pass_the_point_check(data):
     caps = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
     for prof in enumerate_pure_ne(g, caps):
         assert is_pure_ne(g, caps, prof)
+
+
+TIED_VALUES = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+@st.composite
+def tied_games(draw):
+    """1-4 players with 1-4 actions each, random nested level chains, and
+    payoffs from a four-value set so that ties are common."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    cutoffs = tuple(
+        tuple(sorted(draw(st.sets(st.integers(1, k - 1))))) + (k,) if k > 1 else (1,)
+        for k in counts)
+    actions = tuple(tuple(f"a{i}" for i in range(k)) for k in counts)
+    payoffs = {
+        s: tuple(draw(st.sampled_from(TIED_VALUES)) for _ in counts)
+        for s in product(*(range(k) for k in counts))
+    }
+    return CapabilityGame(actions, cutoffs, payoffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_games())
+def test_ctf_pure_matches_a_deviation_sweep_on_every_cell(g):
+    cells = list(product(*(range(1, b + 1) for b in g.bounds)))
+    by_sweep = {cap: pure_ne_payoffs_by_sweep(g, cap) for cap in cells}
+    for cap in cells:
+        assert ctf_pure(g, cap) == by_sweep[cap]
+    if len(set(g.bounds)) == 1:
+        assert equilibrium_welfare_levels(g) == [
+            {sum(v) for v in by_sweep[(b,) * g.n_players]}
+            for b in range(1, g.bounds[0] + 1)
+        ]
 
 
 def test_welfare_levels_requires_equal_bounds():

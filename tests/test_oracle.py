@@ -84,6 +84,16 @@ class TestPayoffTable:
         assert all(segments_of(table.strategies[i]) == 2 for i in exact)
         assert len(exact) < len(loose)
 
+    def test_size_estimate(self):
+        assert oracle.table_bytes(3) == 134_217_728
+        assert oracle.table_bytes(4) == 34_359_738_368
+        assert oracle.table_bytes(3) <= oracle.MAX_TABLE_BYTES < oracle.table_bytes(4)
+
+    def test_refuses_a_table_over_the_byte_limit(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(2) - 1)
+        with pytest.raises(ScaleLimitExceeded, match=str(oracle.table_bytes(2))):
+            PayoffTable(2, F(1, 2), F(-3, 4))
+
 
 class TestEquilibriumSweep:
     @pytest.mark.parametrize("ca,cb", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)])
@@ -158,6 +168,11 @@ class TestVerification:
             "counterexamples": [],
         }
         assert isinstance(d["equilibria_found"], int)
+
+    def test_cache_holds_one_table(self):
+        verify_closed_form(gm(2, 1, 1))
+        verify_closed_form(gm(2, 1, 1, F(3, 5), F(-7, 10)))
+        assert oracle._table.cache_info().currsize == 1
 
     def test_regime_guard(self):
         with pytest.raises(HypothesisViolation):
