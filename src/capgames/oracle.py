@@ -6,10 +6,16 @@ are found by comparing against every deviation.  None of the closed-form
 expressions are consulted except as the prediction being tested, so a match
 is genuine evidence.
 
-Payoffs over all strategy pairs are held as integer matrices (every value is
-scaled by the common denominator of rho and mu), which keeps the sweep exact
-while letting numpy do the best-response maximisations.  Each table checks a
-sample of its own entries against goldmines.payoff at build time.
+Payoffs over all strategy pairs are held as one integer matrix (every value
+is scaled by the common denominator of rho and mu) in the narrowest dtype
+that holds them exactly, int16 for small denominators (32 MB at M = 3 rather
+than 134 MB as int64), falling back to Python integers past int64.  Each
+table checks a sample of its own entries against goldmines.payoff at build
+time.  The "at most L segments" spaces are nested, so one pass over the
+table finds every profile that is an equilibrium anywhere, together with the
+box of capability pairs where it is one; each capability cell is then a
+lookup into those boxes.  Exact-count spaces are not nested and are checked
+cell by cell.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm
 
@@ -30,10 +36,17 @@ from .rationals import format_rational
 
 DEFAULT_MAX_SCALE = 3
 
-# largest payoff table PayoffTable may allocate; M=3 needs 134 MB, M=4 34 GB
+# largest payoff table PayoffTable may allocate, counted at int64 width:
+# M=3 needs 134 MB, M=4 34 GB
 MAX_TABLE_BYTES = 1 << 30
 
 _SELF_CHECK_PAIRS = 200
+
+
+def _check_scale(scale: int, max_scale: int) -> None:
+    if scale > max_scale:
+        raise ScaleLimitExceeded(
+            f"scale {scale} over the exhaustive-enumeration bound {max_scale}")
 
 
 def enumerate_strategies(
@@ -41,9 +54,7 @@ def enumerate_strategies(
 ) -> list[Strategy]:
     """All strategies with segment count <= cap (== cap when strict), in
     lexicographic bit order."""
-    if scale > max_scale:
-        raise ScaleLimitExceeded(
-            f"scale {scale} over the exhaustive-enumeration bound {max_scale}")
+    _check_scale(scale, max_scale)
     if scale < 1:
         raise OutOfRange(f"scale must be at least 1, got {scale}")
     if cap < 1:
@@ -66,7 +77,8 @@ class PayoffTable:
 
     ``ua[a, b]`` is player A's payoff times ``denominator`` when A plays
     strategy index a and B plays b; the game is symmetric, so B's payoff is
-    the transposed entry.
+    the transposed entry.  Entries use the narrowest integer dtype that holds
+    every payoff exactly, with Python integers beyond int64.
     """
 
     def __init__(self, scale: int, rho: Fraction, mu: Fraction):
@@ -77,42 +89,37 @@ class PayoffTable:
         self.scale = scale
         self.rho, self.mu = rho, mu
         self.strategies: list[Strategy] = list(product((0, 1), repeat=4 * scale))
-        n = len(self.strategies)
-        summaries = [goldmines.summarize(f) for f in self.strategies]
-        self.segments = np.array([s.segments for s in summaries], dtype=np.int64)
+        n, sites = len(self.strategies), 4 * scale
+        # bits[i, j] is bit j of strategy i: product() counts in binary
+        shifts = np.arange(sites - 1, -1, -1)
+        bits = (np.arange(n)[:, None] >> shifts) & 1
+        self.segments = 1 + np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1)
+        site = np.arange(sites)
+        cover = bits == (site + 1) % 2
+        gold = site % 4 <= 1
+        n_gold = cover[:, gold].sum(axis=1)
+        n_mine = cover[:, ~gold].sum(axis=1)
 
-        # gold coverage as a site-indicator matrix; pairwise shared-gold
-        # counts are then one integer matmul
-        gold_cols = {}
-        for k in range(scale):
-            gold_cols[4 * k] = 2 * k
-            gold_cols[4 * k + 1] = 2 * k + 1
-        gmat = np.zeros((n, 2 * scale), dtype=np.int64)
-        for idx, s in enumerate(summaries):
-            for site in s.gold_sites:
-                gmat[idx, gold_cols[site]] = 1
-        shared = gmat @ gmat.T
-        n_gold = gmat.sum(axis=1)
-        n_mine = np.array([s.n_mine for s in summaries], dtype=np.int64)
+        # shared[a, b]: golds both strategies cover, at most 2*scale
+        shared = np.zeros((n, n), dtype=np.uint8)
+        for g in np.flatnonzero(gold):
+            col = cover[:, g].astype(np.uint8)
+            shared += col[:, None] & col
 
         den = lcm(rho.denominator, mu.denominator)
         rho_scaled = rho.numerator * (den // rho.denominator)
         mu_scaled = mu.numerator * (den // mu.denominator)
         self.denominator = den
+        # bounds every entry and every partial sum below
         bound = 2 * scale * (2 * den + abs(rho_scaled) + abs(mu_scaled))
-        if bound < 2**62:
-            self.ua = (
-                n_gold[:, None] * den
-                - shared * (den - rho_scaled)
-                + n_mine[:, None] * mu_scaled
-            )
-        else:
-            # huge denominators: fall back to exact Python integers
-            self.ua = (
-                n_gold[:, None].astype(object) * den
-                - shared.astype(object) * (den - rho_scaled)
-                + n_mine[:, None].astype(object) * mu_scaled
-            )
+        dtype = _payoff_dtype(bound)
+        # ua[a, b] = what a earns alone, minus what each shared gold costs
+        # it; the per-strategy sums are Python integers, exact at any width
+        alone = n_gold.astype(object) * den + n_mine.astype(object) * mu_scaled
+        self.ua = shared.astype(dtype)
+        del shared
+        self.ua *= rho_scaled - den
+        self.ua += alone.astype(dtype)[:, None]
         self._self_check()
 
     def _self_check(self) -> None:
@@ -144,8 +151,50 @@ class PayoffTable:
         mask = self.segments == cap if strict else self.segments <= cap
         return np.flatnonzero(mask)
 
+    @cached_property
+    def _ne_boxes(self) -> tuple[np.ndarray, ...]:
+        """Every profile that is a pure NE for some capability pair, with the
+        capability box where it is one, from one pass over the table.
+
+        Spaces "at most L segments" are nested, so (a, b) is an equilibrium
+        exactly when A's capability is at least a's segment count and below
+        the first level whose best reply to b beats ``ua[a, b]``, and the
+        same holds for B.  Returns (a, b, lo_a, hi_a, lo_b, hi_b) with the
+        profiles in lexicographic order and capabilities clipped to the top
+        segment count.  Computed on first use.
+        """
+        ua, segments = self.ua, self.segments
+        levels = range(1, int(segments.max()) + 1)
+        # best[L - 1, x]: best payoff against x with at most L segments
+        best = np.stack([ua[segments == level].max(axis=0) for level in levels])
+        np.maximum.accumulate(best, axis=0, out=best)
+        # replies[a, x]: a is a best reply to x at a's own segment count
+        replies = np.empty(ua.shape, dtype=bool)
+        for level in levels:
+            rows = segments == level
+            replies[rows] = ua[rows] == best[level - 1]
+        a, b = np.divmod(np.flatnonzero(replies), len(replies))
+        # B's box is empty unless b is a best reply to a as well; dropping
+        # those profiles here keeps the per-cell lookups short
+        mutual = replies[b, a]
+        del replies
+        a, b = a[mutual], b[mutual]
+        # best replies only grow with the level, so the levels where a stays
+        # a best reply to b are those whose best payoff is still ua[a, b]
+        hi_a = np.count_nonzero(best[:, b] <= ua[a, b], axis=0)
+        hi_b = np.count_nonzero(best[:, a] <= ua[b, a], axis=0)
+        return a, b, segments[a], hi_a, segments[b], hi_b
+
     def pure_equilibria(self, cap_a: int, cap_b: int, strict: bool) -> list[tuple[int, int]]:
-        """Index pairs where neither player can improve inside their space."""
+        """Index pairs where neither player can improve inside their space,
+        in lexicographic order."""
+        if not strict:
+            a, b, lo_a, hi_a, lo_b, hi_b = self._ne_boxes
+            top = int(self.segments.max())
+            ca, cb = min(cap_a, top), min(cap_b, top)
+            keep = (lo_a <= ca) & (ca <= hi_a) & (lo_b <= cb) & (cb <= hi_b)
+            return list(zip(a[keep].tolist(), b[keep].tolist()))
+        # exact-count spaces are not nested, so each cell is checked alone
         rows = self.indices_with_cap(cap_a, strict)
         cols = self.indices_with_cap(cap_b, strict)
         if rows.size == 0 or cols.size == 0:
@@ -160,7 +209,16 @@ class PayoffTable:
         ]
 
 
-# one table at a time: at M=3 each holds 134 MB
+def _payoff_dtype(bound: int):
+    """Narrowest integer dtype holding every value up to ``bound`` in
+    magnitude; object (Python integers) past 2**62."""
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64 if bound < 2**62 else object
+
+
+# one table at a time: at M=3 each holds at least 32 MB
 @lru_cache(maxsize=1)
 def _table(scale: int, rho: Fraction, mu: Fraction) -> PayoffTable:
     return PayoffTable(scale, rho, mu)
@@ -171,9 +229,7 @@ def enumerate_pure_equilibria(
 ) -> list[tuple[Strategy, Strategy]]:
     """Every pure equilibrium of the capability-restricted game, found by
     exhaustive deviation sweep, in lexicographic profile order."""
-    if params.scale > max_scale:
-        raise ScaleLimitExceeded(
-            f"scale {params.scale} over the exhaustive-enumeration bound {max_scale}")
+    _check_scale(params.scale, max_scale)
     table = _table(params.scale, params.rho, params.mu)
     return [
         (table.strategies[a], table.strategies[b])
@@ -221,9 +277,7 @@ def verify_closed_form(
 ) -> VerificationReport:
     """Compare the closed-form payoff set with the exhaustively observed one."""
     goldmines.require_closed_form_regime(params.rho, params.mu)
-    if params.scale > max_scale:
-        raise ScaleLimitExceeded(
-            f"scale {params.scale} over the exhaustive-enumeration bound {max_scale}")
+    _check_scale(params.scale, max_scale)
     predicted = goldmines.equilibrium_payoffs(params)
     table = _table(params.scale, params.rho, params.mu)
     pairs = table.pure_equilibria(params.cap_a, params.cap_b, strict=False)

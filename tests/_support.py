@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
 
 def coverage_by_rule(f):
     """(gold sites, mine sites) covered, straight from the stands-on-line rule."""
@@ -91,6 +93,19 @@ def pure_ne_payoffs_by_sweep(game, capability):
                for p in range(len(sizes)) for alt in range(sizes[p])):
             found.add(here)
     return found
+
+
+def pure_equilibria_by_cell(table, cap_a, cap_b):
+    """Index pairs of every pure equilibrium of an ``oracle.PayoffTable`` with
+    at most ``cap_a`` / ``cap_b`` segments, by masking the table down to the
+    two spaces and comparing each entry with its column's best reply."""
+    rows = np.flatnonzero(table.segments <= cap_a)
+    cols = np.flatnonzero(table.segments <= cap_b)
+    ua = table.ua[np.ix_(rows, cols)]
+    ub_t = table.ua[np.ix_(cols, rows)]  # ub_t[j, i] = payoff to B at (rows[i], cols[j])
+    best_a = ua == ua.max(axis=0, keepdims=True)
+    best_b = (ub_t == ub_t.max(axis=0, keepdims=True)).T
+    return [(int(rows[i]), int(cols[j])) for i, j in np.argwhere(best_a & best_b)]
 
 
 def _solve_over_fractions(rows, nvars):

@@ -1,8 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capgames import goldmines, oracle
 from capgames.errors import HypothesisViolation, OutOfRange, ScaleLimitExceeded
@@ -14,7 +18,12 @@ from capgames.oracle import (
     verify_closed_form,
     verify_strict_ne_coverage,
 )
-from tests._support import all_strategies, is_equilibrium_by_sweep, segments_of
+from tests._support import (
+    all_strategies,
+    is_equilibrium_by_sweep,
+    pure_equilibria_by_cell,
+    segments_of,
+)
 
 F = Fraction
 
@@ -93,6 +102,59 @@ class TestPayoffTable:
         monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(2) - 1)
         with pytest.raises(ScaleLimitExceeded, match=str(oracle.table_bytes(2))):
             PayoffTable(2, F(1, 2), F(-3, 4))
+
+
+class TestOnePass:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scale=st.sampled_from([1, 2]),
+        rho=st.fractions(0, 1, max_denominator=12).filter(lambda r: 0 < r < 1),
+        mu=st.fractions(-2, 0, max_denominator=12).filter(lambda m: m < 0),
+    )
+    @example(scale=2, rho=F(1, 2), mu=F(-3, 4))  # inside the closed-form regime
+    @example(scale=2, rho=F(1, 2), mu=F(-2, 5))  # outside it: -mu < rho
+    def test_matches_the_per_cell_check_on_every_cell(self, scale, rho, mu):
+        table = PayoffTable(scale, rho, mu)
+        # capabilities past the largest segment count (4 * scale) included
+        for ca, cb in product(range(1, 4 * scale + 3), repeat=2):
+            assert table.pure_equilibria(ca, cb, strict=False) == \
+                pure_equilibria_by_cell(table, ca, cb)
+
+    def test_matches_the_per_cell_check_on_the_three_block_board(self):
+        table = PayoffTable(3, F(1, 2), F(-3, 4))
+        cells = {(1, 8), (8, 1)} | {(k, k) for k in range(1, 9)}
+        for ca, cb in sorted(cells):
+            assert table.pure_equilibria(ca, cb, strict=False) == \
+                pure_equilibria_by_cell(table, ca, cb)
+
+    @pytest.mark.parametrize("dtype,rho,mu", [
+        (np.int16, F(1, 2), F(-3, 4)),
+        (np.int32, F(1, 10007), F(-1, 2)),
+        (np.int64, F(1, 1000003), F(-1, 999983)),
+        (object, F(1, 3**40), F(-1, 2)),
+    ])
+    def test_each_payoff_width_is_exact(self, dtype, rho, mu):
+        table = PayoffTable(1, rho, mu)
+        assert table.ua.dtype == dtype
+        p = GameParams(1, rho, mu, 4, 4)
+        for a, fa in enumerate(table.strategies):
+            for b, fb in enumerate(table.strategies):
+                assert table.payoff_pair(a, b) == goldmines.payoff(fa, fb, p)
+        for ca, cb in product(range(1, 7), repeat=2):
+            assert table.pure_equilibria(ca, cb, strict=False) == \
+                pure_equilibria_by_cell(table, ca, cb)
+        wider = PayoffTable(2, rho, mu)
+        assert wider.ua.dtype == dtype
+        assert wider.segments.tolist() == [segments_of(f) for f in wider.strategies]
+
+    def test_build_and_pass_stay_within_the_table_estimate(self):
+        tracemalloc.start()
+        try:
+            PayoffTable(3, F(1, 3), F(-1, 2)).pure_equilibria(1, 1, strict=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle.table_bytes(3)
 
 
 class TestEquilibriumSweep:
