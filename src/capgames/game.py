@@ -13,12 +13,14 @@ All payoffs are exact rationals; nothing here is ever rounded.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import product
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyGame,
@@ -91,49 +93,104 @@ class CapabilityGame:
     def _pure_transfer(self) -> dict[tuple[int, ...], frozenset[PayoffVector]]:
         """Every capability profile's pure-NE payoff set, from one pass.
 
-        Levels are prefixes of the action list, so profile s is an
-        equilibrium on a box of capability profiles: player p's level must
-        contain s_p and must end before p's first strictly better deviation
-        against s_-p.  Each profile's payoff vector is added to every cell of
-        its box.  Computed on first use; the game must not be mutated after.
+        Each player's payoffs are scaled to integers over that player's
+        common denominator and handed to ``ne_boxes`` with each action's
+        level read off the cutoff chain; each profile's payoff vector is
+        then added to every cell of its box.  Computed on first use; the
+        game must not be mutated after.
         """
-        counts = [len(a) for a in self.actions]
-        profiles = list(product(*(range(k) for k in counts)))
-        vectors = [self.payoffs[s] for s in profiles]
-        # top[p][i]: number of p's levels that exclude p's first strictly
-        # better deviation from profiles[i] (all levels when there is none)
-        top = []
-        stride = len(profiles)
-        for p, (k, chain) in enumerate(zip(counts, self.cutoffs)):
-            stride //= k
-            ends = [0] * len(profiles)
-            for base, s in enumerate(profiles):
-                if s[p]:
-                    continue
-                column = [vectors[base + a * stride][p] for a in range(k)]
-                # the first action strictly better than v is the first place
-                # the running maximum exceeds v
-                running = list(accumulate(column, max))
-                for a, v in enumerate(column):
-                    ends[base + a * stride] = bisect_right(chain, bisect_right(running, v))
-            top.append(ends)
-        # bottom[p][a]: number of p's levels too small to contain action a
-        bottom = [[bisect_right(chain, a) for a in range(k)]
+        counts = tuple(len(a) for a in self.actions)
+        vectors = [self.payoffs[s] for s in product(*(range(k) for k in counts))]
+        utilities = []
+        for p in range(self.n_players):
+            column = [v[p] for v in vectors]
+            den = lcm(*(x.denominator for x in column))
+            scaled = [x.numerator * (den // x.denominator) for x in column]
+            dtype = _payoff_dtype(max(map(abs, scaled)))
+            utilities.append(np.array(scaled, dtype=dtype).reshape(counts))
+        levels = [np.searchsorted(chain, np.arange(k), side="right") + 1
                   for k, chain in zip(counts, self.cutoffs)]
+        profiles, lo, hi = ne_boxes(utilities, levels)
         cells: dict[tuple[int, ...], set[PayoffVector]] = {
             cap: set() for cap in product(*(range(1, len(c) + 1) for c in self.cutoffs))}
-        for i, s in enumerate(profiles):
-            box = []
-            for p, a in enumerate(s):
-                lo, hi = bottom[p][a], top[p][i]
-                if lo >= hi:
-                    break
-                box.append(range(lo + 1, hi + 1))
-            else:
-                vec = vectors[i]
-                for cap in product(*box):
-                    cells[cap].add(vec)
+        for i, low, high in zip(profiles.tolist(), np.transpose(lo).tolist(),
+                                np.transpose(hi).tolist()):
+            for cap in product(*(range(a, b + 1) for a, b in zip(low, high))):
+                cells[cap].add(vectors[i])
         return {cap: frozenset(v) for cap, v in cells.items()}
+
+
+def _payoff_dtype(bound: int):
+    """Narrowest integer dtype holding every value up to ``bound`` in
+    magnitude; object (Python integers) past 2**62."""
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64 if bound < 2**62 else object
+
+
+def ne_boxes(
+    utilities: Sequence[np.ndarray], levels: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Every pure profile that is a Nash equilibrium at some capability
+    profile, with the box of capability profiles where it is one.
+
+    ``utilities[p]`` is player p's exact integer payoff at every full
+    profile, as an n-dimensional array; ``levels[p][a]`` is the lowest level
+    of player p whose space holds action a, and level L's space is every
+    action at level L or below.  The spaces are nested, so s is an
+    equilibrium at capability c exactly when ``lo[p][i] <= c_p <= hi[p][i]``
+    for every player p: c_p must reach s_p's level and stay below the first
+    level holding a strictly better reply to s_-p.  ``hi`` is at most the
+    top level, ``max(levels[p])``.
+
+    Returns ``(profiles, lo, hi)``: the flat indices of those profiles in
+    lexicographic order, and per player one array of lower and one of upper
+    capability bounds, aligned with ``profiles``.
+    """
+    shape = utilities[0].shape
+    used, ranks, best = [], [], []
+    for p, (u, lv) in enumerate(zip(utilities, levels)):
+        present = np.array(sorted(set(np.asarray(lv).tolist())))
+        rank = np.searchsorted(present, lv)
+        # best[p][j, t]: p's best payoff within the j-th used level's space
+        # against the t-th opponent profile (flat, axis p removed)
+        by_action = np.moveaxis(u, p, 0)
+        per_level = np.concatenate(
+            [by_action[rank == j].max(axis=0, keepdims=True)
+             for j in range(len(present))]).reshape(len(present), -1)
+        np.maximum.accumulate(per_level, axis=0, out=per_level)
+        used.append(present)
+        ranks.append(rank)
+        best.append(per_level)
+
+    def opponents(p, flat):
+        # flat index of s_-p over the profile shape with axis p removed
+        stride = prod(shape[p + 1:])
+        return flat // (shape[p] * stride) * stride + flat % stride
+
+    # only the first player's check is dense; the others run by gather on
+    # the profiles where the first player is already best-replying (a dense
+    # check over the oracle's transposed table costs several times the pass)
+    first = utilities[0].reshape(shape[0], -1)
+    replies = np.empty(first.shape, dtype=bool)
+    for j in range(len(used[0])):
+        rows = ranks[0] == j
+        replies[rows] = first[rows] == best[0][j]
+    profiles = np.flatnonzero(replies)
+    del replies
+    for p in range(1, len(shape)):
+        s = np.unravel_index(profiles, shape)
+        own = best[p][ranks[p][s[p]], opponents(p, profiles)]
+        profiles = profiles[utilities[p][s] == own]
+
+    s = np.unravel_index(profiles, shape)
+    lo, hi = [], []
+    for p, (u, lv) in enumerate(zip(utilities, levels)):
+        unbeaten = np.count_nonzero(best[p][:, opponents(p, profiles)] <= u[s], axis=0)
+        lo.append(np.asarray(lv)[s[p]])
+        hi.append(np.append(used[p] - 1, used[p][-1])[unbeaten])
+    return profiles, lo, hi
 
 
 class Positivity(enum.Enum):

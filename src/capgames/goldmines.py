@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     HypothesisViolation,
@@ -348,33 +347,6 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
 
 # --- equilibrium constructions and the closed form ---
 
-def _deviations(cap: int, scale: int) -> Iterable[Strategy]:
-    for bits in product((0, 1), repeat=4 * scale):
-        if segment_count(bits) <= cap:
-            yield bits
-
-
-def _search_equilibrium_small(params: GameParams, start_a: int) -> tuple[Strategy, Strategy]:
-    """Exhaustive pure-equilibrium search, used only at scale 1 where the
-    padding routine is not applicable."""
-    sa = list(_deviations(params.cap_a, params.scale))
-    sb = list(_deviations(params.cap_b, params.scale))
-    for fa in sa:
-        if fa[0] != start_a:
-            continue
-        ua_row = {fb: payoff(fa, fb, params) for fb in sb}
-        for fb in sb:
-            if fb[0] != 1 - start_a:
-                continue
-            ua, ub = ua_row[fb]
-            if any(payoff(alt, fb, params)[0] > ua for alt in sa):
-                continue
-            if any(payoff(fa, alt, params)[1] > ub for alt in sb):
-                continue
-            return fa, fb
-    raise RuntimeError("no pure equilibrium found in the requested class")
-
-
 def _full_capability_response(opponent: Strategy, cap: int, start: int, scale: int) -> Strategy:
     """Aligned strategy with exactly ``cap`` segments (cap <= 2*scale) that
     starts on ``start`` and, together with the opponent, covers every gold."""
@@ -417,8 +389,6 @@ def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strat
             raise InvalidStartLine(
                 "only the class with player B starting on line 0 exists here")
         return perfect_cover(scale), staircase(scale, cb, 0)
-    if scale == 1:
-        return _search_equilibrium_small(params, start_a)
     if ca >= cb:
         fb = staircase(scale, cb, 1 - start_a)
         fa = _full_capability_response(fb, ca, start_a, scale)

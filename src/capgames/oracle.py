@@ -11,11 +11,12 @@ is scaled by the common denominator of rho and mu) in the narrowest dtype
 that holds them exactly, int16 for small denominators (32 MB at M = 3 rather
 than 134 MB as int64), falling back to Python integers past int64.  Each
 table checks a sample of its own entries against goldmines.payoff at build
-time.  The "at most L segments" spaces are nested, so one pass over the
-table finds every profile that is an equilibrium anywhere, together with the
-box of capability pairs where it is one; each capability cell is then a
-lookup into those boxes.  Exact-count spaces are not nested and are checked
-cell by cell.
+time.  The "at most L segments" spaces are nested, so the table is a
+two-player capability game whose levels are segment counts, and the generic
+engine's one pass (``game.ne_boxes``) finds every profile that is an
+equilibrium anywhere, together with the box of capability pairs where it is
+one; each capability cell is then a lookup into those boxes.  Exact-count
+spaces are not nested and are checked cell by cell.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import goldmines
 from .errors import OutOfRange, ScaleLimitExceeded
+from .game import _payoff_dtype, ne_boxes
 from .goldmines import GameParams, Strategy
 from .rationals import format_rational
 
@@ -152,48 +154,21 @@ class PayoffTable:
         return np.flatnonzero(mask)
 
     @cached_property
-    def _ne_boxes(self) -> tuple[np.ndarray, ...]:
-        """Every profile that is a pure NE for some capability pair, with the
-        capability box where it is one, from one pass over the table.
-
-        Spaces "at most L segments" are nested, so (a, b) is an equilibrium
-        exactly when A's capability is at least a's segment count and below
-        the first level whose best reply to b beats ``ua[a, b]``, and the
-        same holds for B.  Returns (a, b, lo_a, hi_a, lo_b, hi_b) with the
-        profiles in lexicographic order and capabilities clipped to the top
-        segment count.  Computed on first use.
-        """
-        ua, segments = self.ua, self.segments
-        levels = range(1, int(segments.max()) + 1)
-        # best[L - 1, x]: best payoff against x with at most L segments
-        best = np.stack([ua[segments == level].max(axis=0) for level in levels])
-        np.maximum.accumulate(best, axis=0, out=best)
-        # replies[a, x]: a is a best reply to x at a's own segment count
-        replies = np.empty(ua.shape, dtype=bool)
-        for level in levels:
-            rows = segments == level
-            replies[rows] = ua[rows] == best[level - 1]
-        a, b = np.divmod(np.flatnonzero(replies), len(replies))
-        # B's box is empty unless b is a best reply to a as well; dropping
-        # those profiles here keeps the per-cell lookups short
-        mutual = replies[b, a]
-        del replies
-        a, b = a[mutual], b[mutual]
-        # best replies only grow with the level, so the levels where a stays
-        # a best reply to b are those whose best payoff is still ua[a, b]
-        hi_a = np.count_nonzero(best[:, b] <= ua[a, b], axis=0)
-        hi_b = np.count_nonzero(best[:, a] <= ua[b, a], axis=0)
-        return a, b, segments[a], hi_a, segments[b], hi_b
+    def _ne_boxes(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """``game.ne_boxes`` over this table: the two players' levels are
+        their strategies' segment counts.  Computed on first use."""
+        return ne_boxes((self.ua, self.ua.T), (self.segments, self.segments))
 
     def pure_equilibria(self, cap_a: int, cap_b: int, strict: bool) -> list[tuple[int, int]]:
         """Index pairs where neither player can improve inside their space,
         in lexicographic order."""
         if not strict:
-            a, b, lo_a, hi_a, lo_b, hi_b = self._ne_boxes
+            profiles, lo, hi = self._ne_boxes
             top = int(self.segments.max())
             ca, cb = min(cap_a, top), min(cap_b, top)
-            keep = (lo_a <= ca) & (ca <= hi_a) & (lo_b <= cb) & (cb <= hi_b)
-            return list(zip(a[keep].tolist(), b[keep].tolist()))
+            keep = (lo[0] <= ca) & (ca <= hi[0]) & (lo[1] <= cb) & (cb <= hi[1])
+            a, b = np.divmod(profiles[keep], len(self.strategies))
+            return list(zip(a.tolist(), b.tolist()))
         # exact-count spaces are not nested, so each cell is checked alone
         rows = self.indices_with_cap(cap_a, strict)
         cols = self.indices_with_cap(cap_b, strict)
@@ -207,15 +182,6 @@ class PayoffTable:
             (int(rows[i]), int(cols[j]))
             for i, j in np.argwhere(best_a & best_b)
         ]
-
-
-def _payoff_dtype(bound: int):
-    """Narrowest integer dtype holding every value up to ``bound`` in
-    magnitude; object (Python integers) past 2**62."""
-    for dtype in (np.int16, np.int32):
-        if bound <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64 if bound < 2**62 else object
 
 
 # one table at a time: at M=3 each holds at least 32 MB

@@ -95,6 +95,21 @@ def pure_ne_payoffs_by_sweep(game, capability):
     return found
 
 
+def pure_equilibria_by_levels(utilities, levels, capability):
+    """Flat indices, in lexicographic order, of every pure equilibrium when
+    player p may play exactly the actions a with ``levels[p][a] <=
+    capability[p]``, by a raw deviation sweep over those spaces."""
+    shape = utilities[0].shape
+    spaces = [[a for a in range(k) if levels[p][a] <= c]
+              for p, (k, c) in enumerate(zip(shape, capability))]
+    found = []
+    for s in product(*spaces):
+        if all(utilities[p][s[:p] + (alt,) + s[p + 1:]] <= utilities[p][s]
+               for p in range(len(shape)) for alt in spaces[p]):
+            found.append(int(np.ravel_multi_index(s, shape)))
+    return found
+
+
 def pure_equilibria_by_cell(table, cap_a, cap_b):
     """Index pairs of every pure equilibrium of an ``oracle.PayoffTable`` with
     at most ``cap_a`` / ``cap_b`` segments, by masking the table down to the

@@ -98,6 +98,21 @@ class TestBuildEquilibrium:
         with pytest.raises(HypothesisViolation):
             build_equilibrium(gm(1, 1, 1, F(1, 2), F(-1, 2)), 0)
 
+    def test_unit_board_pair_is_the_first_brute_force_pair_of_its_class(self):
+        # Pins the construction at scale 1 to the pair an exhaustive search
+        # returns: the first equilibrium, in lexicographic order, with A on
+        # line t at site 0 and B on the other line.
+        grid = [F(p, q) for q in range(2, 6) for p in range(1, q)]
+        for rho, neg_mu in product(grid, repeat=2):
+            if not rho < neg_mu:
+                continue
+            for ca, cb in product((1, 2), repeat=2):
+                p = gm(1, ca, cb, rho, -neg_mu)
+                found = oracle.enumerate_pure_equilibria(p)
+                for t in (0, 1):
+                    first = next(e for e in found if e[0][0] == t and e[1][0] == 1 - t)
+                    assert build_equilibrium(p, t) == first
+
     def test_both_full_cover_players_stack_on_the_golds(self):
         fa, fb = build_equilibrium(gm(2, 5, 5), 0)
         assert fa == fb == perfect_cover(2)

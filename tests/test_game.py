@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capgames import (
@@ -23,8 +25,8 @@ from capgames.errors import (
     OutOfBounds,
     UnequalBounds,
 )
-from capgames.game import restricted_sizes
-from tests._support import pure_ne_payoffs_by_sweep
+from capgames.game import ne_boxes, restricted_sizes
+from tests._support import pure_equilibria_by_levels, pure_ne_payoffs_by_sweep
 
 # 2x2 game in which giving player 1 a second action strictly lowers their
 # equilibrium payoff: the canonical "more options can hurt" example used
@@ -214,6 +216,55 @@ def test_ctf_pure_matches_a_deviation_sweep_on_every_cell(g):
             {sum(v) for v in by_sweep[(b,) * g.n_players]}
             for b in range(1, g.bounds[0] + 1)
         ]
+
+
+@st.composite
+def level_games(draw):
+    """1-3 players with 1-4 actions each, an arbitrary level (1-4) per
+    action, not monotone in the action order and possibly skipping levels,
+    and integer payoffs from -1..1 so that ties are common."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    levels = [draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)) for k in shape]
+    size = prod(shape)
+    utilities = [
+        np.array(draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size)),
+                 dtype=np.int16).reshape(shape)
+        for _ in shape
+    ]
+    return utilities, levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_games())
+@example(([np.array([0, 1, 1, 0], dtype=np.int16)], [[3, 2, 4, 2]]))
+@example(([np.array([[1], [0], [1]]), np.array([[0], [2], [1]])], [[2, 1, 1], [3]]))
+def test_ne_boxes_match_a_deviation_sweep_on_every_cell(g):
+    utilities, levels = g
+    profiles, lo, hi = ne_boxes(utilities, levels)
+    somewhere = set()
+    for cap in product(*(range(1, max(lv) + 1) for lv in levels)):
+        by_sweep = pure_equilibria_by_levels(utilities, levels, cap)
+        in_box = [int(i) for k, i in enumerate(profiles)
+                  if all(lo[p][k] <= c <= hi[p][k] for p, c in enumerate(cap))]
+        assert in_box == by_sweep
+        somewhere.update(by_sweep)
+    assert profiles.tolist() == sorted(somewhere)
+
+
+def test_ctf_pure_is_exact_past_int64():
+    # scaled over the common denominator 3**45 these payoffs pass 2**62, so
+    # the engine holds them as Python integers; the two large values differ
+    # by 3**-45, far below float resolution
+    tiny, huge = Fraction(1, 3**45), Fraction(2**70)
+    values = (tiny, huge, huge + tiny, -huge, Fraction(0))
+    rng = random.Random(7)
+    g = CapabilityGame(
+        (("a", "b", "c"), ("x", "y", "z")),
+        ((1, 2, 3), (1, 3)),
+        {s: (rng.choice(values), rng.choice(values)) for s in product(range(3), repeat=2)},
+    )
+    for cap in product(range(1, 4), range(1, 3)):
+        assert ctf_pure(g, cap) == pure_ne_payoffs_by_sweep(g, cap)
 
 
 def test_welfare_levels_requires_equal_bounds():
