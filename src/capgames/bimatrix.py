@@ -178,9 +178,7 @@ def _embed(weights: list[Fraction], support: tuple[int, ...], size: int) -> tupl
     return tuple(full)
 
 
-def support_enumeration(
-    game: Bimatrix, max_actions: int = DEFAULT_MAX_ACTIONS
-) -> list[MixedEquilibrium]:
+def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
     """All equilibria on equal-size supports, in support-bitmask order.
 
     Complete for nondegenerate games.  For degenerate ones every emitted
@@ -188,8 +186,8 @@ def support_enumeration(
     unequal-support continua are represented only through their basic points.
     """
     m, k = game.shape
-    if m > max_actions or k > max_actions:
-        raise SizeLimitExceeded(f"{m}x{k} exceeds the {max_actions}-action bound")
+    if m > DEFAULT_MAX_ACTIONS or k > DEFAULT_MAX_ACTIONS:
+        raise SizeLimitExceeded(f"{m}x{k} exceeds the {DEFAULT_MAX_ACTIONS}-action bound")
     a_rows = _integer_lines(game.a)
     b_cols = _integer_lines(zip(*game.b))
     found: dict[tuple, MixedEquilibrium] = {}
@@ -246,14 +244,10 @@ def restrict_to_bimatrix(game: CapabilityGame, capability: Sequence[int]) -> Bim
     return Bimatrix(a, b)
 
 
-def ctf_mixed(
-    game: CapabilityGame,
-    capability: Sequence[int],
-    max_actions: int = DEFAULT_MAX_ACTIONS,
-) -> MixedCtf:
+def ctf_mixed(game: CapabilityGame, capability: Sequence[int]) -> MixedCtf:
     """Mixed capability transfer function of a two-player game at one profile."""
     restricted = restrict_to_bimatrix(game, capability)
-    equilibria = support_enumeration(restricted, max_actions=max_actions)
+    equilibria = support_enumeration(restricted)
     return MixedCtf(
         frozenset(e.values for e in equilibria),
         any(e.degenerate for e in equilibria),

@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -35,8 +34,6 @@ from .game import (
 )
 from .goldmines import GameParams
 from .rationals import format_rational, parse_rational
-
-ENV_MAX_SCALE = "CAPGAMES_MAX_SCALE"
 
 # a cell is a string, int, bool, Fraction, or a sorted tuple of payoff vectors
 Cell = object
@@ -112,11 +109,11 @@ def cmd_goldmines_ctf(
     ca_max: int,
     cb_max: int,
     verify: bool = False,
-    max_scale: int = oracle.DEFAULT_MAX_SCALE,
 ) -> OutputTable:
     """Closed-form payoff sets over the capability grid, optionally checked
-    against brute force (the check is skipped above the enumeration bound)."""
-    do_verify = verify and scale <= max_scale
+    against brute force (the check is skipped where the oracle's payoff table
+    would not fit)."""
+    do_verify = verify and oracle.fits(scale)
     header = ["cap_a", "cap_b", "payoffs"] + (["match"] if do_verify else [])
     table = OutputTable(header)
     for ca in range(1, ca_max + 1):
@@ -124,7 +121,7 @@ def cmd_goldmines_ctf(
             params = GameParams(scale, rho, mu, ca, cb)
             row: list[Cell] = [ca, cb, _vector_set(goldmines.equilibrium_payoffs(params))]
             if do_verify:
-                row.append(oracle.verify_closed_form(params, max_scale=max_scale).match)
+                row.append(oracle.verify_closed_form(params).match)
             table.rows.append(row)
     return table
 
@@ -155,15 +152,10 @@ def cmd_goldmines_layout(scale: int) -> OutputTable:
 
 
 def cmd_goldmines_verify(
-    scale: int,
-    rho: Fraction,
-    mu: Fraction,
-    ca: int,
-    cb: int,
-    max_scale: int = oracle.DEFAULT_MAX_SCALE,
+    scale: int, rho: Fraction, mu: Fraction, ca: int, cb: int
 ) -> tuple[OutputTable, oracle.VerificationReport]:
     params = GameParams(scale, rho, mu, ca, cb)
-    report = oracle.verify_closed_form(params, max_scale=max_scale)
+    report = oracle.verify_closed_form(params)
     table = OutputTable(["field", "value"])
     table.rows = [
         ["scale", scale],
@@ -298,23 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_bound() -> int:
-    raw = os.environ.get(ENV_MAX_SCALE)
-    if raw is None:
-        return oracle.DEFAULT_MAX_SCALE
-    try:
-        return int(raw)
-    except ValueError:
-        raise CapgamesError(f"{ENV_MAX_SCALE} must be an integer, got {raw!r}") from None
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     fmt, decimal = args.format, getattr(args, "decimal", False)
     if args.group == "goldmines":
         if args.command == "ctf":
             table = cmd_goldmines_ctf(args.scale, args.rho, args.mu,
                                       args.ca_max, args.cb_max,
-                                      verify=args.verify, max_scale=_oracle_bound())
+                                      verify=args.verify)
             print(render(table, fmt, decimal))
             if args.verify and "match" in table.header:
                 col = table.header.index("match")
@@ -330,8 +312,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(render(cmd_goldmines_layout(args.scale), fmt, decimal))
             return 0
         table, report = cmd_goldmines_verify(args.scale, args.rho, args.mu,
-                                             args.ca, args.cb,
-                                             max_scale=_oracle_bound())
+                                             args.ca, args.cb)
         if fmt == "json":
             print(json.dumps(report.to_json_dict(), indent=2))
         else:

@@ -38,7 +38,7 @@ class DimensionMismatch(CapgamesError):
 
 
 class SizeLimitExceeded(CapgamesError):
-    """A matrix side exceeds the configured support-enumeration bound."""
+    """A matrix side exceeds the support-enumeration bound, ``DEFAULT_MAX_ACTIONS``."""
 
 
 class NotTwoPlayer(CapgamesError):

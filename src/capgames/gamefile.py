@@ -47,10 +47,11 @@ def parse_game(obj) -> CapabilityGame:
         except (TypeError, KeyError):
             raise GameFormatError(
                 f'player {p + 1} needs "actions" and "cutoffs"') from None
-        if not all(isinstance(a, str) for a in acts):
-            raise GameFormatError(f"player {p + 1}: actions must be strings")
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in cuts):
-            raise GameFormatError(f"player {p + 1}: cutoffs must be integers")
+        if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
+            raise GameFormatError(f"player {p + 1}: actions must be an array of strings")
+        if not isinstance(cuts, list) or not all(
+                isinstance(c, int) and not isinstance(c, bool) for c in cuts):
+            raise GameFormatError(f"player {p + 1}: cutoffs must be an array of integers")
         actions.append(tuple(acts))
         cutoffs.append(tuple(cuts))
 

@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from math import lcm
 
 import numpy as np
@@ -36,42 +35,53 @@ from .game import _payoff_dtype, ne_boxes
 from .goldmines import GameParams, Strategy
 from .rationals import format_rational
 
-DEFAULT_MAX_SCALE = 3
-
-# largest payoff table PayoffTable may allocate, counted at int64 width:
-# M=3 needs 134 MB, M=4 34 GB
+# largest payoff table the oracle may allocate, counted at int64 width:
+# M=3 needs 134 MB, M=4 34 GB; the one limit on exhaustive enumeration
 MAX_TABLE_BYTES = 1 << 30
 
 _SELF_CHECK_PAIRS = 200
 
 
-def _check_scale(scale: int, max_scale: int) -> None:
-    if scale > max_scale:
-        raise ScaleLimitExceeded(
-            f"scale {scale} over the exhaustive-enumeration bound {max_scale}")
-
-
-def enumerate_strategies(
-    scale: int, cap: int, strict: bool = False, max_scale: int = DEFAULT_MAX_SCALE
-) -> list[Strategy]:
-    """All strategies with segment count <= cap (== cap when strict), in
-    lexicographic bit order."""
-    _check_scale(scale, max_scale)
-    if scale < 1:
-        raise OutOfRange(f"scale must be at least 1, got {scale}")
-    if cap < 1:
-        raise OutOfRange(f"capability must be at least 1, got {cap}")
-    out = []
-    for bits in product((0, 1), repeat=4 * scale):
-        runs = goldmines.segment_count(bits)
-        if runs == cap if strict else runs <= cap:
-            out.append(bits)
-    return out
-
-
 def table_bytes(scale: int) -> int:
     """Size of the int64 payoff table over every strategy pair at ``scale``."""
     return (2 ** (4 * scale)) ** 2 * 8
+
+
+def fits(scale: int) -> bool:
+    """Is the payoff table at ``scale`` within ``MAX_TABLE_BYTES``?"""
+    # table_bytes(scale) is 2**(8*scale + 3): comparing exponents refuses a
+    # huge scale without building a huge integer
+    return 8 * scale + 3 < MAX_TABLE_BYTES.bit_length()
+
+
+def _strategy_bits(scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every strategy at ``scale`` as a row of bits, in lexicographic order,
+    and its segment count.  Refuses a board whose payoff table would not fit
+    before anything is allocated."""
+    if scale < 1:
+        raise OutOfRange(f"scale must be at least 1, got {scale}")
+    if not fits(scale):
+        # past M = 100 the estimate runs to hundreds of digits (and past
+        # M = 1,790 to more than str() converts), so give it as a power
+        size = table_bytes(scale) if scale <= 100 else f"2**{8 * scale + 3}"
+        raise ScaleLimitExceeded(
+            f"scale {scale} needs a {size}-byte payoff table, "
+            f"over the {MAX_TABLE_BYTES}-byte limit")
+    sites = 4 * scale
+    # row i holds the binary digits of i, most significant first
+    bits = (np.arange(2**sites)[:, None] >> np.arange(sites - 1, -1, -1)) & 1
+    segments = 1 + np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1)
+    return bits, segments
+
+
+def enumerate_strategies(scale: int, cap: int, strict: bool = False) -> list[Strategy]:
+    """All strategies with segment count <= cap (== cap when strict), in
+    lexicographic bit order."""
+    bits, segments = _strategy_bits(scale)
+    if cap < 1:
+        raise OutOfRange(f"capability must be at least 1, got {cap}")
+    keep = segments == cap if strict else segments <= cap
+    return list(zip(*bits[keep].T.tolist()))
 
 
 class PayoffTable:
@@ -84,18 +94,11 @@ class PayoffTable:
     """
 
     def __init__(self, scale: int, rho: Fraction, mu: Fraction):
-        if table_bytes(scale) > MAX_TABLE_BYTES:
-            raise ScaleLimitExceeded(
-                f"scale {scale} needs a {table_bytes(scale)}-byte payoff table, "
-                f"over the {MAX_TABLE_BYTES}-byte limit")
+        bits, self.segments = _strategy_bits(scale)
         self.scale = scale
         self.rho, self.mu = rho, mu
-        self.strategies: list[Strategy] = list(product((0, 1), repeat=4 * scale))
-        n, sites = len(self.strategies), 4 * scale
-        # bits[i, j] is bit j of strategy i: product() counts in binary
-        shifts = np.arange(sites - 1, -1, -1)
-        bits = (np.arange(n)[:, None] >> shifts) & 1
-        self.segments = 1 + np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1)
+        self.strategies: list[Strategy] = list(zip(*bits.T.tolist()))
+        n, sites = bits.shape
         site = np.arange(sites)
         cover = bits == (site + 1) % 2
         gold = site % 4 <= 1
@@ -191,11 +194,10 @@ def _table(scale: int, rho: Fraction, mu: Fraction) -> PayoffTable:
 
 
 def enumerate_pure_equilibria(
-    params: GameParams, strict: bool = False, max_scale: int = DEFAULT_MAX_SCALE
+    params: GameParams, strict: bool = False
 ) -> list[tuple[Strategy, Strategy]]:
     """Every pure equilibrium of the capability-restricted game, found by
     exhaustive deviation sweep, in lexicographic profile order."""
-    _check_scale(params.scale, max_scale)
     table = _table(params.scale, params.rho, params.mu)
     return [
         (table.strategies[a], table.strategies[b])
@@ -238,14 +240,11 @@ class VerificationReport:
         }
 
 
-def verify_closed_form(
-    params: GameParams, max_scale: int = DEFAULT_MAX_SCALE
-) -> VerificationReport:
+def verify_closed_form(params: GameParams) -> VerificationReport:
     """Compare the closed-form payoff set with the exhaustively observed one."""
     goldmines.require_closed_form_regime(params.rho, params.mu)
-    _check_scale(params.scale, max_scale)
-    predicted = goldmines.equilibrium_payoffs(params)
     table = _table(params.scale, params.rho, params.mu)
+    predicted = goldmines.equilibrium_payoffs(params)
     pairs = table.pure_equilibria(params.cap_a, params.cap_b, strict=False)
     observed = set()
     counterexamples = []
@@ -265,15 +264,13 @@ def verify_closed_form(
     )
 
 
-def verify_strict_ne_coverage(
-    params: GameParams, max_scale: int = DEFAULT_MAX_SCALE
-) -> bool:
+def verify_strict_ne_coverage(params: GameParams) -> bool:
     """Do all pure equilibria over exact-segment spaces jointly cover every gold?
 
     Expected to hold whenever 0 < rho < -mu < 1; the check runs regardless
     and simply reports what it finds.
     """
-    for fa, fb in enumerate_pure_equilibria(params, strict=True, max_scale=max_scale):
+    for fa, fb in enumerate_pure_equilibria(params, strict=True):
         if not goldmines.is_complete_gold_coverage(fa, fb):
             return False
     return True

@@ -190,7 +190,7 @@ def test_verification_mismatch_exits_3(capsys, monkeypatch):
         match=False,
         counterexamples=((((0, 0, 0, 0), (0, 0, 0, 0)), (F(0), F(0))),),
     )
-    monkeypatch.setattr(oracle, "verify_closed_form", lambda p, max_scale=3: doctored)
+    monkeypatch.setattr(oracle, "verify_closed_form", lambda p: doctored)
     code, out, _ = run(
         capsys, "goldmines", "verify", "--M", "1", "--rho", "1/2", "--mu", "-3/4",
         "--ca", "1", "--cb", "1",
@@ -218,8 +218,10 @@ def test_usage_errors_exit_1(capsys):
     assert info.value.code == 1
 
 
-def test_max_scale_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CAPGAMES_MAX_SCALE", "0")
+def test_table_byte_limit(capsys, monkeypatch):
+    # under a limit below the smallest table, M = 1 is past brute force
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(1) - 1)
+    oracle._table.cache_clear()  # a cached table predates the lowered limit
     code, out, _ = run(
         capsys, "goldmines", "ctf", "--M", "1", "--rho", "1/2", "--mu", "-3/4",
         "--ca-max", "1", "--cb-max", "1", "--verify",
@@ -227,13 +229,19 @@ def test_max_scale_env_var(capsys, monkeypatch):
     assert code == 0
     assert "match" not in out.splitlines()[0]
 
-    monkeypatch.setenv("CAPGAMES_MAX_SCALE", "banana")
     code, _, err = run(
-        capsys, "goldmines", "ctf", "--M", "1", "--rho", "1/2", "--mu", "-3/4",
-        "--ca-max", "1", "--cb-max", "1", "--verify",
+        capsys, "goldmines", "verify", "--M", "1", "--rho", "1/2", "--mu", "-3/4",
+        "--ca", "1", "--cb", "1",
     )
     assert code == 1
-    assert "CAPGAMES_MAX_SCALE" in err
+    assert str(oracle.table_bytes(1)) in err
+
+    code, _, err = run(
+        capsys, "goldmines", "verify", "--M", "2000", "--rho", "1/2", "--mu", "-3/4",
+        "--ca", "1", "--cb", "1",
+    )
+    assert code == 1
+    assert err.startswith("capgames: ")
 
 
 def test_game_ctf_pure_and_mixed(capsys):
@@ -288,6 +296,17 @@ def test_game_file_errors_exit_1(capsys, tmp_path):
 
     code, _, err = run(capsys, "game", "ctf", str(tmp_path / "absent.json"))
     assert code == 1
+
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(json.dumps({
+        "players": [{"actions": 5, "cutoffs": [1]},
+                    {"actions": ["l"], "cutoffs": [1]}],
+        "payoffs": [[0, 0]],
+    }))
+    code, _, err = run(capsys, "game", "ctf", str(scalar))
+    assert code == 1
+    assert err.startswith("capgames: ")
+    assert "Traceback" not in err
 
     unequal = tmp_path / "unequal.json"
     unequal.write_text(json.dumps({

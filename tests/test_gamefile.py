@@ -80,6 +80,14 @@ def test_round_trip_keeps_fractions_as_strings():
         (lambda d: {**d, "players": [
             {"actions": ["a", "b"], "cutoffs": [2, 1]},
             d["players"][1]]}, HierarchyViolation),  # validated after parsing
+        # actions and cutoffs must be arrays: a number is not iterable and a
+        # string would split into one action per character
+        (lambda d: {**d, "players": [{"actions": 5, "cutoffs": [2]},
+                                     d["players"][1]]}, GameFormatError),
+        (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": 1},
+                                     d["players"][1]]}, GameFormatError),
+        (lambda d: {**d, "players": [{"actions": "ab", "cutoffs": [1, 2]},
+                                     d["players"][1]]}, GameFormatError),
     ],
 )
 def test_malformed_documents_raise_specific_errors(mangle, error):

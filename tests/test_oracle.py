@@ -36,29 +36,40 @@ class TestEnumeration:
     def test_cap_at_board_size_yields_every_strategy(self):
         assert enumerate_strategies(1, 4) == all_strategies(1)
         assert len(enumerate_strategies(2, 8)) == 2**8
+        assert enumerate_strategies(3, 12) == all_strategies(3)
 
     def test_lexicographic_order(self):
         out = enumerate_strategies(1, 2)
         assert out == sorted(out)
         assert out[0] == (0, 0, 0, 0)
 
-    def test_strict_spaces_partition_the_loose_one(self):
-        for cap in range(1, 9):
-            loose = enumerate_strategies(2, cap)
+    # M = 3 is the largest board the payoff-table limit admits; caps run
+    # one past the most segments a strategy can have
+    @pytest.mark.parametrize("scale,top_cap", [(2, 8), (3, 13)])
+    def test_strict_spaces_partition_the_loose_one(self, scale, top_cap):
+        every = [(f, segments_of(f)) for f in all_strategies(scale)]
+        for cap in range(1, top_cap + 1):
+            loose = enumerate_strategies(scale, cap)
+            strict = enumerate_strategies(scale, cap, strict=True)
             layered = [
-                f for c in range(1, cap + 1) for f in enumerate_strategies(2, c, strict=True)
+                f for c in range(1, cap + 1)
+                for f in enumerate_strategies(scale, c, strict=True)
             ]
             assert sorted(layered) == loose
-            assert all(segments_of(f) == cap for f in enumerate_strategies(2, cap, strict=True))
+            assert all(segments_of(f) == cap for f in strict)
+            assert loose == [f for f, n in every if n <= cap]
+            assert strict == [f for f, n in every if n == cap]
 
-    def test_bounds(self):
+    def test_bounds(self, monkeypatch):
         with pytest.raises(ScaleLimitExceeded):
             enumerate_strategies(4, 1)
-        assert enumerate_strategies(4, 1, max_scale=4)[0] == (0,) * 16
         with pytest.raises(OutOfRange):
             enumerate_strategies(1, 0)
         with pytest.raises(OutOfRange):
             enumerate_strategies(0, 1)
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(1) - 1)
+        with pytest.raises(ScaleLimitExceeded, match=str(oracle.table_bytes(1))):
+            enumerate_strategies(1, 1)
 
 
 class TestPayoffTable:
@@ -97,11 +108,20 @@ class TestPayoffTable:
         assert oracle.table_bytes(3) == 134_217_728
         assert oracle.table_bytes(4) == 34_359_738_368
         assert oracle.table_bytes(3) <= oracle.MAX_TABLE_BYTES < oracle.table_bytes(4)
+        assert oracle.fits(3) and not oracle.fits(4)
 
     def test_refuses_a_table_over_the_byte_limit(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(2) - 1)
         with pytest.raises(ScaleLimitExceeded, match=str(oracle.table_bytes(2))):
             PayoffTable(2, F(1, 2), F(-3, 4))
+
+    def test_refuses_a_huge_board_without_building_its_size(self):
+        # 2**(8M + 3) bytes: at M = 2000 its digits pass the str() limit, at
+        # M = 10**9 the integer alone would take a gigabyte
+        for scale in (2000, 10**9):
+            assert not oracle.fits(scale)
+            with pytest.raises(ScaleLimitExceeded, match=rf"2\*\*{8 * scale + 3}-byte"):
+                enumerate_strategies(scale, 1)
 
 
 class TestOnePass:
@@ -194,11 +214,9 @@ class TestEquilibriumSweep:
             ((1, 0, 1, 0), (0, 1, 0, 1)),
         ]
 
-    def test_scale_guard_and_override(self):
+    def test_scale_guard(self):
         with pytest.raises(ScaleLimitExceeded):
             enumerate_pure_equilibria(gm(4, 1, 1))
-        with pytest.raises(ScaleLimitExceeded):
-            enumerate_pure_equilibria(gm(2, 1, 1), max_scale=1)
 
 
 class TestVerification:
