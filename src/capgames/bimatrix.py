@@ -3,8 +3,10 @@
 Every candidate support pair of equal size induces square indifference
 systems that are solved over the rationals, so the equilibria (and the
 degeneracy verdicts) are exact.  Unequal-support equilibria only occur in
-degenerate games; those games are flagged and only basic solutions of the
-singular systems are reported, never whole continua.
+degenerate games, and there only basic solutions are reported, never whole
+continua.  The degenerate flag covers a singular system or a zero support
+weight only: a best reply outside the support that ties is not flagged, so
+a continuum can go unmarked.
 """
 
 from __future__ import annotations
@@ -182,8 +184,10 @@ def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
     """All equilibria on equal-size supports, in support-bitmask order.
 
     Complete for nondegenerate games.  For degenerate ones every emitted
-    point is still exact and verified, carries the degenerate flag, and
-    unequal-support continua are represented only through their basic points.
+    point is still exact and verified, and unequal-support continua are
+    represented only through their basic points.  The degenerate flag marks
+    a singular indifference system or a zero support weight, not a tie with
+    a best reply outside the support.
     """
     m, k = game.shape
     if m > DEFAULT_MAX_ACTIONS or k > DEFAULT_MAX_ACTIONS:

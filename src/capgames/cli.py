@@ -113,6 +113,8 @@ def cmd_goldmines_ctf(
     """Closed-form payoff sets over the capability grid, optionally checked
     against brute force (the check is skipped where the oracle's payoff table
     would not fit)."""
+    if ca_max < 1 or cb_max < 1:
+        raise OutOfRange(f"capabilities must be at least 1, got {ca_max}, {cb_max}")
     do_verify = verify and oracle.fits(scale)
     header = ["cap_a", "cap_b", "payoffs"] + (["match"] if do_verify else [])
     table = OutputTable(header)

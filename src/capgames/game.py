@@ -90,17 +90,17 @@ class CapabilityGame:
         return cls((acts1, acts2), (c1, c2), pay)
 
     @cached_property
-    def _pure_transfer(self) -> dict[tuple[int, ...], frozenset[PayoffVector]]:
-        """Every capability profile's pure-NE payoff set, from one pass.
+    def _equilibria(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+        """Every capability profile's pure equilibria, in lexicographic
+        order, from one ``ne_cells`` pass.
 
         Each player's payoffs are scaled to integers over that player's
-        common denominator and handed to ``ne_boxes`` with each action's
-        level read off the cutoff chain; each profile's payoff vector is
-        then added to every cell of its box.  Computed on first use; the
-        game must not be mutated after.
+        common denominator, and each action's level is read off the cutoff
+        chain.  Computed on first use; the game must not be mutated after.
         """
         counts = tuple(len(a) for a in self.actions)
-        vectors = [self.payoffs[s] for s in product(*(range(k) for k in counts))]
+        profiles = list(product(*(range(k) for k in counts)))
+        vectors = [self.payoffs[s] for s in profiles]
         utilities = []
         for p in range(self.n_players):
             column = [v[p] for v in vectors]
@@ -110,14 +110,8 @@ class CapabilityGame:
             utilities.append(np.array(scaled, dtype=dtype).reshape(counts))
         levels = [np.searchsorted(chain, np.arange(k), side="right") + 1
                   for k, chain in zip(counts, self.cutoffs)]
-        profiles, lo, hi = ne_boxes(utilities, levels)
-        cells: dict[tuple[int, ...], set[PayoffVector]] = {
-            cap: set() for cap in product(*(range(1, len(c) + 1) for c in self.cutoffs))}
-        for i, low, high in zip(profiles.tolist(), np.transpose(lo).tolist(),
-                                np.transpose(hi).tolist()):
-            for cap in product(*(range(a, b + 1) for a, b in zip(low, high))):
-                cells[cap].add(vectors[i])
-        return {cap: frozenset(v) for cap, v in cells.items()}
+        return {cap: [profiles[i] for i in found]
+                for cap, found in ne_cells(utilities, levels).items()}
 
 
 def _payoff_dtype(bound: int):
@@ -129,24 +123,25 @@ def _payoff_dtype(bound: int):
     return np.int64 if bound < 2**62 else object
 
 
-def ne_boxes(
+def ne_cells(
     utilities: Sequence[np.ndarray], levels: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Every pure profile that is a Nash equilibrium at some capability
-    profile, with the box of capability profiles where it is one.
+) -> dict[tuple[int, ...], list[int]]:
+    """Every capability profile's pure Nash equilibria, from one pass.
 
     ``utilities[p]`` is player p's exact integer payoff at every full
     profile, as an n-dimensional array; ``levels[p][a]`` is the lowest level
     of player p whose space holds action a, and level L's space is every
     action at level L or below.  The spaces are nested, so s is an
-    equilibrium at capability c exactly when ``lo[p][i] <= c_p <= hi[p][i]``
-    for every player p: c_p must reach s_p's level and stay below the first
-    level holding a strictly better reply to s_-p.  ``hi`` is at most the
-    top level, ``max(levels[p])``.
+    equilibrium at capability c exactly when ``lo[p] <= c_p <= hi[p]`` for
+    every player p: c_p must reach s_p's level and stay below the first
+    level holding a strictly better reply to s_-p.  The pass finds every
+    profile that is an equilibrium somewhere with these bounds (``hi`` is at
+    most the top level, ``max(levels[p])``), and each such profile then
+    joins every cell of its box.
 
-    Returns ``(profiles, lo, hi)``: the flat indices of those profiles in
-    lexicographic order, and per player one array of lower and one of upper
-    capability bounds, aligned with ``profiles``.
+    Returns a map from every capability profile c, each c_p in
+    ``1..max(levels[p])``, to the flat indices of its equilibria in
+    lexicographic order.
     """
     shape = utilities[0].shape
     used, ranks, best = [], [], []
@@ -190,7 +185,12 @@ def ne_boxes(
         unbeaten = np.count_nonzero(best[p][:, opponents(p, profiles)] <= u[s], axis=0)
         lo.append(np.asarray(lv)[s[p]])
         hi.append(np.append(used[p] - 1, used[p][-1])[unbeaten])
-    return profiles, lo, hi
+    cells = {cap: [] for cap in product(*(range(1, int(u[-1]) + 1) for u in used))}
+    for i, low, high in zip(profiles.tolist(), np.transpose(lo).tolist(),
+                            np.transpose(hi).tolist()):
+        for cap in product(*(range(a, b + 1) for a, b in zip(low, high))):
+            cells[cap].append(i)
+    return cells
 
 
 class Positivity(enum.Enum):
@@ -276,12 +276,8 @@ def enumerate_pure_ne(
     game: CapabilityGame, capability: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """All pure equilibria of the restricted game, in lexicographic order."""
-    sizes = restricted_sizes(game, capability)
-    return [
-        s
-        for s in product(*(range(k) for k in sizes))
-        if is_pure_ne(game, capability, s)
-    ]
+    restricted_sizes(game, capability)
+    return list(game._equilibria[tuple(capability)])
 
 
 def ctf_pure(
@@ -289,11 +285,11 @@ def ctf_pure(
 ) -> frozenset[PayoffVector]:
     """Pure capability transfer function: equilibrium payoff vectors at ``capability``.
 
-    The first call on a game computes every capability profile in one pass
-    over the full profiles; later calls are lookups.
+    The first call on a game finds every capability profile's equilibria in
+    one pass over the full profiles; later calls are lookups.
     """
     restricted_sizes(game, capability)
-    return game._pure_transfer[tuple(capability)]
+    return frozenset(game.payoffs[s] for s in game._equilibria[tuple(capability)])
 
 
 def equilibrium_welfare_levels(game: CapabilityGame) -> list[frozenset[Fraction]]:

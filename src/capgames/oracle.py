@@ -13,10 +13,10 @@ than 134 MB as int64), falling back to Python integers past int64.  Each
 table checks a sample of its own entries against goldmines.payoff at build
 time.  The "at most L segments" spaces are nested, so the table is a
 two-player capability game whose levels are segment counts, and the generic
-engine's one pass (``game.ne_boxes``) finds every profile that is an
-equilibrium anywhere, together with the box of capability pairs where it is
-one; each capability cell is then a lookup into those boxes.  Exact-count
-spaces are not nested and are checked cell by cell.
+engine's one pass (``game.ne_cells``) maps every capability cell to its
+equilibria; each cell is then a lookup into that map.  Exact-count spaces
+are not nested: each exact-count cell is its own one-level game, a sub-table
+handed to the same ``ne_cells``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import goldmines
 from .errors import OutOfRange, ScaleLimitExceeded
-from .game import _payoff_dtype, ne_boxes
+from .game import _payoff_dtype, ne_cells
 from .goldmines import GameParams, Strategy
 from .rationals import format_rational
 
@@ -152,39 +152,29 @@ class PayoffTable:
             Fraction(int(self.ua[b, a]), den),
         )
 
-    def indices_with_cap(self, cap: int, strict: bool) -> np.ndarray:
-        mask = self.segments == cap if strict else self.segments <= cap
-        return np.flatnonzero(mask)
-
     @cached_property
-    def _ne_boxes(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """``game.ne_boxes`` over this table: the two players' levels are
+    def _cells(self) -> dict[tuple[int, int], list[int]]:
+        """``game.ne_cells`` over this table: the two players' levels are
         their strategies' segment counts.  Computed on first use."""
-        return ne_boxes((self.ua, self.ua.T), (self.segments, self.segments))
+        return ne_cells((self.ua, self.ua.T), (self.segments, self.segments))
 
     def pure_equilibria(self, cap_a: int, cap_b: int, strict: bool) -> list[tuple[int, int]]:
         """Index pairs where neither player can improve inside their space,
         in lexicographic order."""
         if not strict:
-            profiles, lo, hi = self._ne_boxes
+            # caps past the most segments clamp to it; caps below 1 have no cell
             top = int(self.segments.max())
-            ca, cb = min(cap_a, top), min(cap_b, top)
-            keep = (lo[0] <= ca) & (ca <= hi[0]) & (lo[1] <= cb) & (cb <= hi[1])
-            a, b = np.divmod(profiles[keep], len(self.strategies))
-            return list(zip(a.tolist(), b.tolist()))
-        # exact-count spaces are not nested, so each cell is checked alone
-        rows = self.indices_with_cap(cap_a, strict)
-        cols = self.indices_with_cap(cap_b, strict)
+            found = self._cells.get((min(cap_a, top), min(cap_b, top)), [])
+            return [divmod(i, len(self.strategies)) for i in found]
+        # exact-count spaces are not nested: each cell is a game of its own
+        # with one level per player, and caps past the top hold no strategy
+        rows = np.flatnonzero(self.segments == cap_a)
+        cols = np.flatnonzero(self.segments == cap_b)
         if rows.size == 0 or cols.size == 0:
             return []
-        ua = self.ua[np.ix_(rows, cols)]
-        ub_t = self.ua[np.ix_(cols, rows)]  # ub_t[j, i] = payoff to B at (rows[i], cols[j])
-        best_a = ua == ua.max(axis=0, keepdims=True)
-        best_b = (ub_t == ub_t.max(axis=0, keepdims=True)).T
-        return [
-            (int(rows[i]), int(cols[j]))
-            for i, j in np.argwhere(best_a & best_b)
-        ]
+        sub = (self.ua[np.ix_(rows, cols)], self.ua[np.ix_(cols, rows)].T)
+        found = ne_cells(sub, (np.ones_like(rows), np.ones_like(cols)))[1, 1]
+        return [(int(rows[i]), int(cols[j])) for i, j in (divmod(k, cols.size) for k in found)]
 
 
 # one table at a time: at M=3 each holds at least 32 MB

@@ -82,16 +82,17 @@ def all_strategies(scale):
     return list(product((0, 1), repeat=4 * scale))
 
 
-def pure_ne_payoffs_by_sweep(game, capability):
-    """Payoff vectors of every pure equilibrium at ``capability``, by a raw
-    deviation sweep over the restricted spaces read off ``game.cutoffs``."""
+def pure_ne_by_sweep(game, capability):
+    """Every pure equilibrium at ``capability``, in lexicographic order, by
+    a raw deviation sweep over the restricted spaces read off
+    ``game.cutoffs``."""
     sizes = [game.cutoffs[p][c - 1] for p, c in enumerate(capability)]
-    found = set()
+    found = []
     for s in product(*(range(k) for k in sizes)):
         here = game.payoffs[s]
         if all(game.payoffs[s[:p] + (alt,) + s[p + 1:]][p] <= here[p]
                for p in range(len(sizes)) for alt in range(sizes[p])):
-            found.add(here)
+            found.append(s)
     return found
 
 

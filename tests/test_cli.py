@@ -171,6 +171,16 @@ def test_hypothesis_violation_exits_2(capsys):
     assert "0 < rho < -mu < 1" in err
 
 
+@pytest.mark.parametrize("ca_max,cb_max", [("0", "2"), ("2", "-1")])
+def test_ctf_grid_below_capability_1_exits_1(capsys, ca_max, cb_max):
+    code, out, err = run(
+        capsys, "goldmines", "ctf", "--M", "1", "--rho", "1/2", "--mu", "-3/4",
+        "--ca-max", ca_max, "--cb-max", cb_max,
+    )
+    assert code == 1 and out == ""
+    assert "capabilities must be at least 1" in err
+
+
 def test_impossible_equilibrium_class_exits_1(capsys):
     code, _, err = run(
         capsys, "goldmines", "equilibrium", "--M", "1", "--rho", "1/2",

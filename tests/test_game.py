@@ -25,8 +25,8 @@ from capgames.errors import (
     OutOfBounds,
     UnequalBounds,
 )
-from capgames.game import ne_boxes, restricted_sizes
-from tests._support import pure_equilibria_by_levels, pure_ne_payoffs_by_sweep
+from capgames.game import ne_cells, restricted_sizes
+from tests._support import pure_equilibria_by_levels, pure_ne_by_sweep
 
 # 2x2 game in which giving player 1 a second action strictly lowers their
 # equilibrium payoff: the canonical "more options can hurt" example used
@@ -158,31 +158,7 @@ def test_enumerate_matches_definition_on_random_games():
         g = _random_game(rng, n_players, n_actions, rng.randint(1, 2))
         validate_game(g)
         caps = tuple(rng.randint(1, len(g.cutoffs[i])) for i in range(n_players))
-        sizes = restricted_sizes(g, caps)
-        by_definition = []
-        for prof in product(*(range(s) for s in sizes)):
-            best = True
-            for i in range(n_players):
-                u = g.payoffs[prof][i]
-                if any(
-                    g.payoffs[prof[:i] + (alt,) + prof[i + 1:]][i] > u
-                    for alt in range(sizes[i])
-                ):
-                    best = False
-                    break
-            if best:
-                by_definition.append(prof)
-        assert enumerate_pure_ne(g, caps) == by_definition
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_enumerated_equilibria_pass_the_point_check(data):
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    g = _random_game(rng, 2, 3, 2)
-    caps = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
-    for prof in enumerate_pure_ne(g, caps):
-        assert is_pure_ne(g, caps, prof)
+        assert enumerate_pure_ne(g, caps) == pure_ne_by_sweep(g, caps)
 
 
 TIED_VALUES = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1))
@@ -208,12 +184,15 @@ def tied_games(draw):
 @given(tied_games())
 def test_ctf_pure_matches_a_deviation_sweep_on_every_cell(g):
     cells = list(product(*(range(1, b + 1) for b in g.bounds)))
-    by_sweep = {cap: pure_ne_payoffs_by_sweep(g, cap) for cap in cells}
+    by_sweep = {cap: pure_ne_by_sweep(g, cap) for cap in cells}
     for cap in cells:
-        assert ctf_pure(g, cap) == by_sweep[cap]
+        assert enumerate_pure_ne(g, cap) == by_sweep[cap]
+        assert ctf_pure(g, cap) == {g.payoffs[s] for s in by_sweep[cap]}
+        for s in product(*(range(k) for k in restricted_sizes(g, cap))):
+            assert is_pure_ne(g, cap, s) == (s in by_sweep[cap])
     if len(set(g.bounds)) == 1:
         assert equilibrium_welfare_levels(g) == [
-            {sum(v) for v in by_sweep[(b,) * g.n_players]}
+            {sum(g.payoffs[s]) for s in by_sweep[(b,) * g.n_players]}
             for b in range(1, g.bounds[0] + 1)
         ]
 
@@ -238,17 +217,13 @@ def level_games(draw):
 @given(level_games())
 @example(([np.array([0, 1, 1, 0], dtype=np.int16)], [[3, 2, 4, 2]]))
 @example(([np.array([[1], [0], [1]]), np.array([[0], [2], [1]])], [[2, 1, 1], [3]]))
-def test_ne_boxes_match_a_deviation_sweep_on_every_cell(g):
+def test_ne_cells_match_a_deviation_sweep_on_every_cell(g):
     utilities, levels = g
-    profiles, lo, hi = ne_boxes(utilities, levels)
-    somewhere = set()
-    for cap in product(*(range(1, max(lv) + 1) for lv in levels)):
-        by_sweep = pure_equilibria_by_levels(utilities, levels, cap)
-        in_box = [int(i) for k, i in enumerate(profiles)
-                  if all(lo[p][k] <= c <= hi[p][k] for p, c in enumerate(cap))]
-        assert in_box == by_sweep
-        somewhere.update(by_sweep)
-    assert profiles.tolist() == sorted(somewhere)
+    cells = ne_cells(utilities, levels)
+    grid = list(product(*(range(1, max(lv) + 1) for lv in levels)))
+    assert list(cells) == grid
+    for cap in grid:
+        assert cells[cap] == pure_equilibria_by_levels(utilities, levels, cap)
 
 
 def test_ctf_pure_is_exact_past_int64():
@@ -264,7 +239,7 @@ def test_ctf_pure_is_exact_past_int64():
         {s: (rng.choice(values), rng.choice(values)) for s in product(range(3), repeat=2)},
     )
     for cap in product(range(1, 4), range(1, 3)):
-        assert ctf_pure(g, cap) == pure_ne_payoffs_by_sweep(g, cap)
+        assert ctf_pure(g, cap) == {g.payoffs[s] for s in pure_ne_by_sweep(g, cap)}
 
 
 def test_welfare_levels_requires_equal_bounds():
