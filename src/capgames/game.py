@@ -90,17 +90,17 @@ class CapabilityGame:
         return cls((acts1, acts2), (c1, c2), pay)
 
     @cached_property
-    def _equilibria(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-        """Every capability profile's pure equilibria, in lexicographic
-        order, from one ``ne_cells`` pass.
+    def _equilibria(self) -> dict[tuple[int, ...], tuple[list[int], frozenset[PayoffVector]]]:
+        """Every capability profile's pure equilibria, as flat profile
+        indices in lexicographic order, and their payoff vectors, from one
+        ``ne_cells`` pass.
 
         Each player's payoffs are scaled to integers over that player's
         common denominator, and each action's level is read off the cutoff
         chain.  Computed on first use; the game must not be mutated after.
         """
         counts = tuple(len(a) for a in self.actions)
-        profiles = list(product(*(range(k) for k in counts)))
-        vectors = [self.payoffs[s] for s in profiles]
+        vectors = [self.payoffs[s] for s in product(*(range(k) for k in counts))]
         utilities = []
         for p in range(self.n_players):
             column = [v[p] for v in vectors]
@@ -110,7 +110,7 @@ class CapabilityGame:
             utilities.append(np.array(scaled, dtype=dtype).reshape(counts))
         levels = [np.searchsorted(chain, np.arange(k), side="right") + 1
                   for k, chain in zip(counts, self.cutoffs)]
-        return {cap: [profiles[i] for i in found]
+        return {cap: (found, frozenset([vectors[i] for i in found]))
                 for cap, found in ne_cells(utilities, levels).items()}
 
 
@@ -277,7 +277,10 @@ def enumerate_pure_ne(
 ) -> list[tuple[int, ...]]:
     """All pure equilibria of the restricted game, in lexicographic order."""
     restricted_sizes(game, capability)
-    return list(game._equilibria[tuple(capability)])
+    found, _ = game._equilibria[tuple(capability)]
+    counts = tuple(len(a) for a in game.actions)
+    axes = np.unravel_index(np.array(found, dtype=np.intp), counts)
+    return list(zip(*(axis.tolist() for axis in axes)))
 
 
 def ctf_pure(
@@ -289,7 +292,7 @@ def ctf_pure(
     one pass over the full profiles; later calls are lookups.
     """
     restricted_sizes(game, capability)
-    return frozenset(game.payoffs[s] for s in game._equilibria[tuple(capability)])
+    return game._equilibria[tuple(capability)][1]
 
 
 def equilibrium_welfare_levels(game: CapabilityGame) -> list[frozenset[Fraction]]:
