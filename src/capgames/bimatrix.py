@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotTwoPlayer, SizeLimitExceeded
 from .game import CapabilityGame, restricted_sizes
-from .rationals import as_fraction
+from .rationals import as_fraction, scaled
 
 DEFAULT_MAX_ACTIONS = 8
 
@@ -139,20 +139,11 @@ def _solve(rows: list[list[int]], nvars: int):
     return solution, ("unique" if len(pivots) == nvars else "degenerate")
 
 
-def _integer_lines(lines) -> list[tuple[list[int], int]]:
-    """Each line of Fractions times the lcm of its denominators, with that lcm."""
-    out = []
-    for line in lines:
-        scale = lcm(*(v.denominator for v in line))
-        out.append(([v.numerator * (scale // v.denominator) for v in line], scale))
-    return out
-
-
 def _indifference_solution(lines, own: tuple[int, ...], other: tuple[int, ...]):
     """Mixing over ``other`` equalizing the opponent's payoff on ``own``.
 
-    ``lines`` comes from ``_integer_lines``: the rows of A (solving for the
-    column player's vector y, ``own`` = support rows) or the columns of B
+    ``lines`` holds ``rationals.scaled`` of each row of A (solving for the
+    column player's vector y, ``own`` = support rows) or of each column of B
     (solving for the row player's vector x, ``own`` = support columns).
     Scaling an equation leaves its solutions alone, so each line's scale
     multiplies its -1 on the value variable.
@@ -164,11 +155,10 @@ def _indifference_solution(lines, own: tuple[int, ...], other: tuple[int, ...]):
 
 
 def _no_better_reply(lines, support: tuple[int, ...], weights, value: Fraction) -> bool:
-    """Whether no line of ``_integer_lines`` pays more than ``value`` against
-    the mix ``weights`` on ``support``; exact, in integers."""
-    den = lcm(value.denominator, *(w.denominator for w in weights))
-    mix = [w.numerator * (den // w.denominator) for w in weights]
-    target = value.numerator * (den // value.denominator)
+    """Whether no scaled line (as in ``_indifference_solution``) pays more
+    than ``value`` against the mix ``weights`` on ``support``; exact, in
+    integers."""
+    (target, *mix), _ = scaled([value, *weights])
     return all(sum(line[j] * w for j, w in zip(support, mix)) <= scale * target
                for line, scale in lines)
 
@@ -192,8 +182,8 @@ def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
     m, k = game.shape
     if m > DEFAULT_MAX_ACTIONS or k > DEFAULT_MAX_ACTIONS:
         raise SizeLimitExceeded(f"{m}x{k} exceeds the {DEFAULT_MAX_ACTIONS}-action bound")
-    a_rows = _integer_lines(game.a)
-    b_cols = _integer_lines(zip(*game.b))
+    a_rows = [scaled(row) for row in game.a]
+    b_cols = [scaled(col) for col in zip(*game.b)]
     found: dict[tuple, MixedEquilibrium] = {}
     for size in range(1, min(m, k) + 1):
         for rows in combinations(range(m), size):

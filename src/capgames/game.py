@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     OutOfBounds,
     UnequalBounds,
 )
-from .rationals import as_fraction
+from .rationals import as_fraction, scaled
 
 PayoffVector = tuple[Fraction, ...]
 
@@ -97,17 +97,18 @@ class CapabilityGame:
 
         Each player's payoffs are scaled to integers over that player's
         common denominator, and each action's level is read off the cutoff
-        chain.  Computed on first use; the game must not be mutated after.
+        chain.  Computed on first use, after ``validate_game``: a strictly
+        increasing chain gives ``ne_cells`` the gap-free levels it needs.  The
+        game must not be mutated after.
         """
+        validate_game(self)
         counts = tuple(len(a) for a in self.actions)
         vectors = [self.payoffs[s] for s in product(*(range(k) for k in counts))]
         utilities = []
         for p in range(self.n_players):
-            column = [v[p] for v in vectors]
-            den = lcm(*(x.denominator for x in column))
-            scaled = [x.numerator * (den // x.denominator) for x in column]
-            dtype = _payoff_dtype(max(map(abs, scaled)))
-            utilities.append(np.array(scaled, dtype=dtype).reshape(counts))
+            ints, _ = scaled(v[p] for v in vectors)
+            dtype = _payoff_dtype(max(map(abs, ints)))
+            utilities.append(np.array(ints, dtype=dtype).reshape(counts))
         levels = [np.searchsorted(chain, np.arange(k), side="right") + 1
                   for k, chain in zip(counts, self.cutoffs)]
         return {cap: (found, frozenset([vectors[i] for i in found]))
@@ -131,32 +132,31 @@ def ne_cells(
     ``utilities[p]`` is player p's exact integer payoff at every full
     profile, as an n-dimensional array; ``levels[p][a]`` is the lowest level
     of player p whose space holds action a, and level L's space is every
-    action at level L or below.  The spaces are nested, so s is an
-    equilibrium at capability c exactly when ``lo[p] <= c_p <= hi[p]`` for
-    every player p: c_p must reach s_p's level and stay below the first
-    level holding a strictly better reply to s_-p.  The pass finds every
-    profile that is an equilibrium somewhere with these bounds (``hi`` is at
-    most the top level, ``max(levels[p])``), and each such profile then
-    joins every cell of its box.
+    action at level L or below.  The levels must be gap-free: every level
+    from 1 to ``max(levels[p])`` holds at least one action of player p, as
+    in a cutoff chain, the oracle's segment counts, or a single level.  The
+    spaces are nested, so s is an equilibrium at capability c exactly when
+    ``lo[p] <= c_p <= hi[p]`` for every player p: ``lo[p]`` is s_p's level
+    and ``hi[p]`` the number of levels whose best reply to s_-p is no better
+    than s_p.  The pass finds every profile that is an equilibrium somewhere
+    with these bounds, and each such profile then joins every cell of its
+    box.
 
     Returns a map from every capability profile c, each c_p in
     ``1..max(levels[p])``, to the flat indices of its equilibria in
     lexicographic order.
     """
     shape = utilities[0].shape
-    used, ranks, best = [], [], []
-    for p, (u, lv) in enumerate(zip(utilities, levels)):
-        present = np.array(sorted(set(np.asarray(lv).tolist())))
-        rank = np.searchsorted(present, lv)
-        # best[p][j, t]: p's best payoff within the j-th used level's space
-        # against the t-th opponent profile (flat, axis p removed)
+    ranks = [np.asarray(lv) - 1 for lv in levels]
+    best = []
+    for p, (u, rank) in enumerate(zip(utilities, ranks)):
+        # best[p][j, t]: p's best payoff within level j + 1's space against
+        # the t-th opponent profile (flat, axis p removed)
         by_action = np.moveaxis(u, p, 0)
-        per_level = np.concatenate(
-            [by_action[rank == j].max(axis=0, keepdims=True)
-             for j in range(len(present))]).reshape(len(present), -1)
+        per_level = np.stack([by_action[rank == j].max(axis=0)
+                              for j in range(rank.max() + 1)])
+        per_level = per_level.reshape(len(per_level), -1)
         np.maximum.accumulate(per_level, axis=0, out=per_level)
-        used.append(present)
-        ranks.append(rank)
         best.append(per_level)
 
     def opponents(p, flat):
@@ -169,9 +169,9 @@ def ne_cells(
     # check over the oracle's transposed table costs several times the pass)
     first = utilities[0].reshape(shape[0], -1)
     replies = np.empty(first.shape, dtype=bool)
-    for j in range(len(used[0])):
+    for j, level_best in enumerate(best[0]):
         rows = ranks[0] == j
-        replies[rows] = first[rows] == best[0][j]
+        replies[rows] = first[rows] == level_best
     profiles = np.flatnonzero(replies)
     del replies
     for p in range(1, len(shape)):
@@ -180,12 +180,10 @@ def ne_cells(
         profiles = profiles[utilities[p][s] == own]
 
     s = np.unravel_index(profiles, shape)
-    lo, hi = [], []
-    for p, (u, lv) in enumerate(zip(utilities, levels)):
-        unbeaten = np.count_nonzero(best[p][:, opponents(p, profiles)] <= u[s], axis=0)
-        lo.append(np.asarray(lv)[s[p]])
-        hi.append(np.append(used[p] - 1, used[p][-1])[unbeaten])
-    cells = {cap: [] for cap in product(*(range(1, int(u[-1]) + 1) for u in used))}
+    lo = [rank[s[p]] + 1 for p, rank in enumerate(ranks)]
+    hi = [np.count_nonzero(best[p][:, opponents(p, profiles)] <= u[s], axis=0)
+          for p, u in enumerate(utilities)]
+    cells = {cap: [] for cap in product(*(range(1, len(b) + 1) for b in best))}
     for i, low, high in zip(profiles.tolist(), np.transpose(lo).tolist(),
                             np.transpose(hi).tolist()):
         for cap in product(*(range(a, b + 1) for a, b in zip(low, high))):
@@ -220,9 +218,7 @@ def validate_game(game: CapabilityGame) -> None:
                 f"player {p + 1}: top level must equal the full action list "
                 f"({chain[-1]} != {len(game.actions[p])})")
     counts = tuple(len(a) for a in game.actions)
-    expected = 1
-    for k in counts:
-        expected *= k
+    expected = prod(counts)
     if len(game.payoffs) != expected:
         raise IncompletePayoffs(
             f"{len(game.payoffs)} payoff entries for {expected} profiles")
@@ -252,6 +248,8 @@ def is_pure_ne(
     """True if no player can gain by deviating inside their restricted space.
 
     Deviations outside the capability-restricted space are never consulted.
+    The answer is a lookup into the same cell map as ``ctf_pure`` and
+    ``enumerate_pure_ne``, built by one ``ne_cells`` pass on first use.
     """
     sizes = restricted_sizes(game, capability)
     s = tuple(profile)
@@ -261,15 +259,9 @@ def is_pure_ne(
         if not 0 <= a < sizes[p]:
             raise OutOfBounds(
                 f"action {a} of player {p + 1} outside restricted space of size {sizes[p]}")
-    for p in range(game.n_players):
-        here = game.payoffs[s][p]
-        for alt in range(sizes[p]):
-            if alt == s[p]:
-                continue
-            dev = s[:p] + (alt,) + s[p + 1:]
-            if game.payoffs[dev][p] > here:
-                return False
-    return True
+    found, _ = game._equilibria[tuple(capability)]
+    counts = tuple(len(a) for a in game.actions)
+    return int(np.ravel_multi_index(s, counts)) in found
 
 
 def enumerate_pure_ne(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from itertools import product
+from math import prod
 from pathlib import Path
 
 from .errors import GameFormatError, IncompletePayoffs
@@ -56,9 +57,7 @@ def parse_game(obj) -> CapabilityGame:
         cutoffs.append(tuple(cuts))
 
     counts = [len(a) for a in actions]
-    expected = 1
-    for k in counts:
-        expected *= k
+    expected = prod(counts)
     if not isinstance(raw_payoffs, list) or len(raw_payoffs) != expected:
         raise IncompletePayoffs(
             f'"payoffs" must list exactly {expected} vectors, got '

@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from . import goldmines
 from .errors import OutOfRange, ScaleLimitExceeded
 from .game import _payoff_dtype, ne_cells
 from .goldmines import GameParams, Strategy
-from .rationals import format_rational
+from .rationals import format_rational, scaled
 
 # largest payoff table the oracle may allocate, counted at int64 width:
 # M=3 needs 134 MB, M=4 34 GB; the one limit on exhaustive enumeration
@@ -111,9 +110,7 @@ class PayoffTable:
             col = cover[:, g].astype(np.uint8)
             shared += col[:, None] & col
 
-        den = lcm(rho.denominator, mu.denominator)
-        rho_scaled = rho.numerator * (den // rho.denominator)
-        mu_scaled = mu.numerator * (den // mu.denominator)
+        (rho_scaled, mu_scaled), den = scaled((rho, mu))
         self.denominator = den
         # bounds every entry and every partial sum below
         bound = 2 * scale * (2 * den + abs(rho_scaled) + abs(mu_scaled))
@@ -131,12 +128,9 @@ class PayoffTable:
         """Compare a sample of table entries against the direct payoff rule."""
         n = len(self.strategies)
         params = GameParams(self.scale, self.rho, self.mu, 4 * self.scale, 4 * self.scale)
-        if n * n <= _SELF_CHECK_PAIRS:
-            pairs = [(a, b) for a in range(n) for b in range(n)]
-        else:
-            rng = random.Random(0xC0FFEE ^ n)
-            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(_SELF_CHECK_PAIRS)]
-        for a, b in pairs:
+        rng = random.Random(0xC0FFEE ^ n)
+        for _ in range(_SELF_CHECK_PAIRS):
+            a, b = rng.randrange(n), rng.randrange(n)
             ua, ub = goldmines.payoff(self.strategies[a], self.strategies[b], params)
             if ua * self.denominator != int(self.ua[a, b]):
                 raise AssertionError(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -48,3 +50,12 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def scaled(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values as exact integers over their common denominator: ``(ints,
+    den)`` with ``ints[i] == values[i] * den`` and ``den`` the lcm of the
+    values' denominators."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

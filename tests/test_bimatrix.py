@@ -58,6 +58,10 @@ def test_matching_pennies_has_exactly_the_uniform_equilibrium():
     assert eq.y == (F(1, 2), F(1, 2))
     assert eq.values == (0, 0)
     assert not eq.degenerate
+    # at (r1, c2) the row player gains by moving to r2; at (r1, c1) the row
+    # player is content and the column player gains by moving to c2
+    assert not is_mixed_ne(PENNIES, (1, 0), (0, 1))
+    assert not is_mixed_ne(PENNIES, (1, 0), (1, 0))
 
 
 def test_coordination_game_has_three_equilibria():

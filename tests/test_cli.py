@@ -71,6 +71,16 @@ def test_equilibrium_construction_output(capsys):
     assert lines[1].split() == ["A", "00011000", "3", "3", "1", "1/4"]
     assert lines[2].split() == ["B", "10011000", "4", "4", "1", "5/4"]
 
+    code, out, _ = run(
+        capsys, "goldmines", "equilibrium", "--M", "2", "--rho", "1/4",
+        "--mu", "-1/2", "--ca", "3", "--cb", "4", "--t", "0", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["rows"] == [
+        ["A", "00011000", 3, 3, 1, "1/4"],
+        ["B", "10011000", 4, 4, 1, "5/4"],
+    ]
+
 
 def test_ctf_grid_with_verification(capsys):
     code, out, _ = run(

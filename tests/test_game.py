@@ -91,11 +91,24 @@ def test_validate_rejects_missing_and_extra_profiles():
     with pytest.raises(IncompletePayoffs):
         validate_game(
             CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), partial))
+    # the right number of entries, one of them under a key that is no profile
+    wrong_key = dict(partial)
+    wrong_key[(2, 2)] = (0, 0)
+    with pytest.raises(IncompletePayoffs, match="missing payoff for profile"):
+        validate_game(
+            CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), wrong_key))
     short_vector = dict(full)
     short_vector[(1, 1)] = (0,)
     with pytest.raises(IncompletePayoffs):
         validate_game(
             CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), short_vector))
+
+
+def test_queries_validate_the_game_first():
+    # a repeated cutoff leaves level 2 of player 2 without an action
+    g = CapabilityGame.from_matrices([[1, 2]], [[1, 2]], cutoffs2=(1, 1, 2))
+    with pytest.raises(HierarchyViolation):
+        ctf_pure(g, (1, 2))
 
 
 def test_restricted_sizes_and_bounds_checks():
@@ -111,6 +124,8 @@ def test_restricted_sizes_and_bounds_checks():
         restricted_sizes(SHRINK, (1, 1, 1))
     with pytest.raises(OutOfBounds):
         is_pure_ne(SHRINK, (1, 1), (1, 0))  # action outside the level-1 space
+    with pytest.raises(OutOfBounds):
+        is_pure_ne(SHRINK, (1, 1), (0,))  # one action for two players
     with pytest.raises(OutOfBounds):
         ctf_pure(SHRINK, (3, 1))
     with pytest.raises(OutOfBounds):
@@ -197,13 +212,21 @@ def test_ctf_pure_matches_a_deviation_sweep_on_every_cell(g):
         ]
 
 
+def _gap_free(levels):
+    """Renumber the levels 1, 2, ... in their order, so that none is skipped
+    and the actions that shared a level still share one."""
+    present = sorted(set(levels))
+    return [present.index(v) + 1 for v in levels]
+
+
 @st.composite
 def level_games(draw):
-    """1-3 players with 1-4 actions each, an arbitrary level (1-4) per
-    action, not monotone in the action order and possibly skipping levels,
-    and integer payoffs from -1..1 so that ties are common."""
+    """1-3 players with 1-4 actions each, a level per action, not monotone
+    in the action order but gap-free (as ``ne_cells`` requires), and
+    integer payoffs from -1..1 so that ties are common."""
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
-    levels = [draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)) for k in shape]
+    levels = [_gap_free(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+              for k in shape]
     size = prod(shape)
     utilities = [
         np.array(draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size)),
@@ -215,8 +238,8 @@ def level_games(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(level_games())
-@example(([np.array([0, 1, 1, 0], dtype=np.int16)], [[3, 2, 4, 2]]))
-@example(([np.array([[1], [0], [1]]), np.array([[0], [2], [1]])], [[2, 1, 1], [3]]))
+@example(([np.array([0, 1, 1, 0], dtype=np.int16)], [[2, 1, 3, 1]]))
+@example(([np.array([[1], [0], [1]]), np.array([[0], [2], [1]])], [[2, 1, 1], [1]]))
 def test_ne_cells_match_a_deviation_sweep_on_every_cell(g):
     utilities, levels = g
     cells = ne_cells(utilities, levels)

@@ -20,6 +20,7 @@ from capgames.oracle import (
 )
 from tests._support import (
     all_strategies,
+    coverage_by_rule,
     is_equilibrium_by_sweep,
     pure_equilibria_by_cell,
     segments_of,
@@ -243,6 +244,18 @@ class TestVerification:
         }
         assert isinstance(d["equilibria_found"], int)
 
+    def test_counterexamples_are_the_first_equilibria_off_the_prediction(self, monkeypatch):
+        # all 12 equilibria of this cell pay (5/4, 5/4), so under a wrong
+        # prediction each is a counterexample and the first 10 are kept
+        p = gm(2, 3, 3)
+        found = [(pair, goldmines.payoff(*pair, p)) for pair in enumerate_pure_equilibria(p)]
+        monkeypatch.setattr(goldmines, "equilibrium_payoffs",
+                            lambda params: frozenset({(F(0), F(0))}))
+        report = verify_closed_form(p)
+        assert not report.match
+        assert report.equilibria_found == len(found) == 12
+        assert list(report.counterexamples) == found[:10]
+
     def test_cache_holds_one_table(self):
         verify_closed_form(gm(2, 1, 1))
         verify_closed_form(gm(2, 1, 1, F(3, 5), F(-7, 10)))
@@ -262,10 +275,17 @@ class TestStrictCoverage:
         for ca, cb in product(range(1, 4), repeat=2):
             assert verify_strict_ne_coverage(gm(1, ca, cb))
 
-    def test_runs_outside_the_closed_form_regime(self):
-        # Not a claim about the answer, only that the check is well-defined.
-        verdict = verify_strict_ne_coverage(gm(1, 2, 2, F(1, 2), F(-2, 5)))
-        assert isinstance(verdict, bool)
+    # at rho = 1/3, mu = -2 the only exact-count equilibrium is (0001, 0001),
+    # which leaves gold site 0 uncovered
+    @pytest.mark.parametrize("rho,mu,holds", [(F(1, 2), F(-2, 5), True),
+                                              (F(1, 3), F(-2), False)])
+    def test_runs_outside_the_closed_form_regime(self, rho, mu, holds):
+        space = [f for f in all_strategies(1) if segments_of(f) == 2]
+        golds = [coverage_by_rule(fa)[0] | coverage_by_rule(fb)[0]
+                 for fa, fb in product(space, space)
+                 if is_equilibrium_by_sweep(fa, fb, space, space, rho, mu)]
+        assert golds and all(g == {0, 1} for g in golds) is holds
+        assert verify_strict_ne_coverage(gm(1, 2, 2, rho, mu)) is holds
 
     def test_scale_guard(self):
         with pytest.raises(ScaleLimitExceeded):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from capgames.rationals import as_fraction, format_rational, parse_rational
+from capgames.rationals import as_fraction, format_rational, parse_rational, scaled
 
 F = Fraction
 
@@ -43,3 +43,9 @@ def test_as_fraction_coercions():
         as_fraction(True)
     with pytest.raises(ValueError):
         as_fraction("0.5")
+
+
+def test_scaled_puts_every_value_over_the_lcm_of_the_denominators():
+    assert scaled([F(1, 2), F(-3, 4), F(2), F(5, 6)]) == ([6, -9, 24, 10], 12)
+    assert scaled(iter([F(-1, 3)])) == ([-1], 3)
+    assert scaled([F(2**70), F(1, 3**45)]) == ([2**70 * 3**45, 1], 3**45)
