@@ -24,7 +24,6 @@ from .game import (
     equilibrium_welfare_levels,
     is_capability_positive,
     is_pure_ne,
-    validate_game,
 )
 from .gamefile import game_to_json, load_game, parse_game
 from .goldmines import (
@@ -83,7 +82,6 @@ __all__ = [
     "staircase",
     "summarize",
     "support_enumeration",
-    "validate_game",
     "verify_closed_form",
     "verify_strict_ne_coverage",
 ]

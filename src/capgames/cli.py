@@ -154,7 +154,7 @@ def cmd_goldmines_layout(scale: int) -> OutputTable:
 
 
 def cmd_goldmines_verify(
-    scale: int, rho: Fraction, mu: Fraction, ca: int, cb: int
+    scale: int, rho: Fraction, mu: Fraction, ca: int, cb: int, decimal: bool = False
 ) -> tuple[OutputTable, oracle.VerificationReport]:
     params = GameParams(scale, rho, mu, ca, cb)
     report = oracle.verify_closed_form(params)
@@ -172,7 +172,7 @@ def cmd_goldmines_verify(
     ]
     for (fa, fb), value in report.counterexamples:
         pretty = (f"{goldmines.format_strategy(fa)} {goldmines.format_strategy(fb)}"
-                  f" -> ({format_rational(value[0])}, {format_rational(value[1])})")
+                  f" -> {_cell_text((value,), decimal)}")
         table.rows.append(["counterexample", pretty])
     return table, report
 
@@ -314,9 +314,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(render(cmd_goldmines_layout(args.scale), fmt, decimal))
             return 0
         table, report = cmd_goldmines_verify(args.scale, args.rho, args.mu,
-                                             args.ca, args.cb)
+                                             args.ca, args.cb, decimal)
         if fmt == "json":
-            print(json.dumps(report.to_json_dict(), indent=2))
+            print(json.dumps(report.to_json_dict(decimal), indent=2))
         else:
             print(render(table, fmt, decimal))
         return 0 if report.match else 3

@@ -78,4 +78,5 @@ class ScaleLimitExceeded(CapgamesError):
 
 
 class GameFormatError(CapgamesError):
-    """A game description file is structurally malformed."""
+    """A game description is malformed: a JSON file's structure or a payoff
+    that is not an exact rational."""

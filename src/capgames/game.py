@@ -13,6 +13,7 @@ All payoffs are exact rationals; nothing here is ever rounded.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +24,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyGame,
+    GameFormatError,
     HierarchyViolation,
     IncompletePayoffs,
     OutOfBounds,
@@ -43,13 +46,49 @@ class CapabilityGame:
         cutoffs: per player, strictly increasing sizes of the nested spaces;
             the last cutoff equals the length of the action list, so the top
             level is always the unrestricted game.
-        payoffs: payoff vector (one exact rational per player) for every full
-            strategy profile, keyed by tuples of 0-based action indices.
+        payoffs: for every full strategy profile (a tuple of 0-based action
+            indices), one exact rational per player.  Building the game checks
+            it and keeps its own dict of ``Fraction`` vectors, row-major.
     """
 
     actions: tuple[tuple[str, ...], ...]
     cutoffs: tuple[tuple[int, ...], ...]
     payoffs: Mapping[tuple[int, ...], PayoffVector]
+
+    def __post_init__(self):
+        if self.n_players == 0:
+            raise EmptyGame("a game needs at least one player")
+        for p, acts in enumerate(self.actions):
+            if len(acts) == 0:
+                raise EmptyGame(f"player {p + 1} has no actions")
+        if len(self.cutoffs) != self.n_players:
+            raise HierarchyViolation("one cutoff chain required per player")
+        for p, chain in enumerate(self.cutoffs):
+            if len(chain) == 0 or chain[0] < 1:
+                raise HierarchyViolation(f"player {p + 1}: cutoffs must start at 1 or more")
+            if any(a >= b for a, b in zip(chain, chain[1:])):
+                raise HierarchyViolation(f"player {p + 1}: cutoffs must strictly increase")
+            if chain[-1] != len(self.actions[p]):
+                raise HierarchyViolation(
+                    f"player {p + 1}: top level must equal the full action list "
+                    f"({chain[-1]} != {len(self.actions[p])})")
+        counts = tuple(len(a) for a in self.actions)
+        if len(self.payoffs) != prod(counts):
+            raise IncompletePayoffs(
+                f"{len(self.payoffs)} payoff entries for {prod(counts)} profiles")
+        payoffs = {}
+        for profile in product(*(range(k) for k in counts)):
+            vec = self.payoffs.get(profile)
+            if vec is None:
+                raise IncompletePayoffs(f"missing payoff for profile {profile}")
+            if len(vec) != self.n_players:
+                raise IncompletePayoffs(
+                    f"payoff for {profile} has {len(vec)} entries, want {self.n_players}")
+            try:
+                payoffs[profile] = tuple(as_fraction(v) for v in vec)
+            except (TypeError, ValueError) as bad:
+                raise GameFormatError(f"profile {profile}: {bad}") from None
+        object.__setattr__(self, "payoffs", payoffs)
 
     @property
     def n_players(self) -> int:
@@ -78,11 +117,9 @@ class CapabilityGame:
     ) -> "CapabilityGame":
         """Build a two-player game from payoff matrices (rows = player 1)."""
         rows, cols = len(u1), len(u1[0]) if u1 else 0
-        pay = {
-            (i, j): (as_fraction(u1[i][j]), as_fraction(u2[i][j]))
-            for i in range(rows)
-            for j in range(cols)
-        }
+        if len(u2) != rows or any(len(row) != cols for row in (*u1, *u2)):
+            raise DimensionMismatch("the two payoff matrices must share one rectangular shape")
+        pay = {(i, j): (u1[i][j], u2[i][j]) for i in range(rows) for j in range(cols)}
         c1 = tuple(cutoffs1) if cutoffs1 is not None else (rows,)
         c2 = tuple(cutoffs2) if cutoffs2 is not None else (cols,)
         acts1 = tuple(f"r{i + 1}" for i in range(rows))
@@ -97,13 +134,11 @@ class CapabilityGame:
 
         Each player's payoffs are scaled to integers over that player's
         common denominator, and each action's level is read off the cutoff
-        chain.  Computed on first use, after ``validate_game``: a strictly
-        increasing chain gives ``ne_cells`` the gap-free levels it needs.  The
-        game must not be mutated after.
+        chain.  Computed on first use; a checked chain gives ``ne_cells`` the
+        gap-free levels it needs.
         """
-        validate_game(self)
         counts = tuple(len(a) for a in self.actions)
-        vectors = [self.payoffs[s] for s in product(*(range(k) for k in counts))]
+        vectors = list(self.payoffs.values())
         utilities = []
         for p in range(self.n_players):
             ints, _ = scaled(v[p] for v in vectors)
@@ -199,44 +234,21 @@ class Positivity(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-def validate_game(game: CapabilityGame) -> None:
-    """Check structural invariants; raise a specific error on the first failure."""
-    if game.n_players == 0:
-        raise EmptyGame("a game needs at least one player")
-    for p, acts in enumerate(game.actions):
-        if len(acts) == 0:
-            raise EmptyGame(f"player {p + 1} has no actions")
-    if len(game.cutoffs) != game.n_players:
-        raise HierarchyViolation("one cutoff chain required per player")
-    for p, chain in enumerate(game.cutoffs):
-        if len(chain) == 0 or chain[0] < 1:
-            raise HierarchyViolation(f"player {p + 1}: cutoffs must start at 1 or more")
-        if any(a >= b for a, b in zip(chain, chain[1:])):
-            raise HierarchyViolation(f"player {p + 1}: cutoffs must strictly increase")
-        if chain[-1] != len(game.actions[p]):
-            raise HierarchyViolation(
-                f"player {p + 1}: top level must equal the full action list "
-                f"({chain[-1]} != {len(game.actions[p])})")
-    counts = tuple(len(a) for a in game.actions)
-    expected = prod(counts)
-    if len(game.payoffs) != expected:
-        raise IncompletePayoffs(
-            f"{len(game.payoffs)} payoff entries for {expected} profiles")
-    for profile in product(*(range(k) for k in counts)):
-        vec = game.payoffs.get(profile)
-        if vec is None:
-            raise IncompletePayoffs(f"missing payoff for profile {profile}")
-        if len(vec) != game.n_players:
-            raise IncompletePayoffs(
-                f"payoff for {profile} has {len(vec)} entries, want {game.n_players}")
+def _profile(values: Sequence[int], n: int, what: str) -> tuple[int, ...]:
+    """``values`` as n ints, numpy integers included; ``OutOfBounds`` for a
+    wrong length or an entry that is no integer, such as 1.0."""
+    try:
+        ints = tuple(map(operator.index, values))
+    except TypeError:
+        raise OutOfBounds(f"{what} must hold integers, got {values!r}") from None
+    if len(ints) != n:
+        raise OutOfBounds(f"{what} has {len(ints)} entries for {n} players")
+    return ints
 
 
 def restricted_sizes(game: CapabilityGame, capability: Sequence[int]) -> tuple[int, ...]:
     """Per-player action counts at the given capability profile."""
-    if len(capability) != game.n_players:
-        raise OutOfBounds(
-            f"capability profile has {len(capability)} entries for "
-            f"{game.n_players} players")
+    capability = _profile(capability, game.n_players, "capability profile")
     return tuple(game.space_size(p, c) for p, c in enumerate(capability))
 
 
@@ -252,9 +264,7 @@ def is_pure_ne(
     ``enumerate_pure_ne``, built by one ``ne_cells`` pass on first use.
     """
     sizes = restricted_sizes(game, capability)
-    s = tuple(profile)
-    if len(s) != game.n_players:
-        raise OutOfBounds(f"profile has {len(s)} entries for {game.n_players} players")
+    s = _profile(profile, game.n_players, "profile")
     for p, a in enumerate(s):
         if not 0 <= a < sizes[p]:
             raise OutOfBounds(

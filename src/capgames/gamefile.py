@@ -24,12 +24,12 @@ from math import prod
 from pathlib import Path
 
 from .errors import GameFormatError, IncompletePayoffs
-from .game import CapabilityGame, validate_game
-from .rationals import as_fraction, format_rational
+from .game import CapabilityGame
+from .rationals import format_rational
 
 
 def parse_game(obj) -> CapabilityGame:
-    """Build and validate a game from already-decoded JSON data."""
+    """Build a game from decoded JSON data; ``CapabilityGame`` checks it."""
     if not isinstance(obj, dict):
         raise GameFormatError("top level must be an object")
     try:
@@ -63,19 +63,11 @@ def parse_game(obj) -> CapabilityGame:
             f'"payoffs" must list exactly {expected} vectors, got '
             f"{len(raw_payoffs) if isinstance(raw_payoffs, list) else type(raw_payoffs).__name__}")
 
-    payoffs = {}
-    for profile, vec in zip(product(*(range(k) for k in counts)), raw_payoffs):
-        if not isinstance(vec, list) or len(vec) != len(players):
-            raise IncompletePayoffs(
-                f"payoff vector for profile {profile} must have {len(players)} entries")
-        try:
-            payoffs[profile] = tuple(as_fraction(v) for v in vec)
-        except (TypeError, ValueError) as bad:
-            raise GameFormatError(f"profile {profile}: {bad}") from None
-
-    game = CapabilityGame(tuple(actions), tuple(cutoffs), payoffs)
-    validate_game(game)
-    return game
+    payoffs = dict(zip(product(*(range(k) for k in counts)), raw_payoffs))
+    for profile, vec in payoffs.items():
+        if not isinstance(vec, list):  # a string would split into characters
+            raise IncompletePayoffs(f"payoff vector for profile {profile} must be an array")
+    return CapabilityGame(tuple(actions), tuple(cutoffs), payoffs)
 
 
 def load_game(path: str | Path) -> CapabilityGame:
@@ -90,11 +82,9 @@ def load_game(path: str | Path) -> CapabilityGame:
 
 def game_to_json(game: CapabilityGame) -> dict:
     """Inverse of parse_game, producing plain JSON-serializable data."""
-    counts = [len(a) for a in game.actions]
     flat = [
-        [format_rational(v) if v.denominator != 1 else v.numerator
-         for v in game.payoffs[profile]]
-        for profile in product(*(range(k) for k in counts))
+        [format_rational(v) if v.denominator != 1 else v.numerator for v in vec]
+        for vec in game.payoffs.values()
     ]
     return {
         "players": [

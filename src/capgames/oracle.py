@@ -200,13 +200,13 @@ class VerificationReport:
     match: bool
     counterexamples: tuple[tuple[tuple[Strategy, Strategy], tuple[Fraction, Fraction]], ...]
 
-    def to_json_dict(self) -> dict:
-        pairs = lambda vs: [[format_rational(u), format_rational(v)]
-                            for u, v in sorted(vs)]
+    def to_json_dict(self, decimal: bool = False) -> dict:
+        fmt = lambda x: format_rational(x, decimal)
+        pairs = lambda vs: [[fmt(u), fmt(v)] for u, v in sorted(vs)]
         return {
             "scale": self.params.scale,
-            "rho": format_rational(self.params.rho),
-            "mu": format_rational(self.params.mu),
+            "rho": fmt(self.params.rho),
+            "mu": fmt(self.params.mu),
             "cap_a": self.params.cap_a,
             "cap_b": self.params.cap_b,
             "predicted": pairs(self.predicted),
@@ -217,7 +217,7 @@ class VerificationReport:
                 {
                     "strategy_a": goldmines.format_strategy(fa),
                     "strategy_b": goldmines.format_strategy(fb),
-                    "payoff": [format_rational(u), format_rational(v)],
+                    "payoff": [fmt(u), fmt(v)],
                 }
                 for (fa, fb), (u, v) in self.counterexamples
             ],

@@ -16,7 +16,12 @@ from capgames import (
     support_enumeration,
 )
 from capgames.bimatrix import expected_payoff
-from capgames.errors import DimensionMismatch, NotTwoPlayer, SizeLimitExceeded
+from capgames.errors import (
+    DimensionMismatch,
+    IncompletePayoffs,
+    NotTwoPlayer,
+    SizeLimitExceeded,
+)
 from tests._support import support_enumeration_over_fractions
 
 F = Fraction
@@ -173,6 +178,18 @@ def test_mixed_ctf_agrees_with_pure_on_the_shrinking_example():
         assert not result.degenerate
     assert ctf_mixed(g, (1, 1)).payoffs == frozenset({(1, 2)})
     assert ctf_mixed(g, (2, 1)).payoffs == frozenset({(0, 2)})
+
+
+@pytest.mark.parametrize("stray", [None, (2, 2)])
+def test_a_game_with_a_missing_profile_never_reaches_ctf_mixed(stray):
+    # ctf_mixed reads only the restricted cells: unchecked, this game would
+    # answer capability (1, 1) and fail only at (2, 1), where (1, 1) is read
+    payoffs = {(0, 0): (1, 2), (0, 1): (-1, 1), (1, 0): (2, 1)}
+    if stray is not None:
+        payoffs[stray] = (0, 0)  # the right count, under a key that is no profile
+    with pytest.raises(IncompletePayoffs):
+        ctf_mixed(CapabilityGame((("r1", "r2"), ("c1", "c2")), ((1, 2), (2,)), payoffs),
+                  (1, 1))
 
 
 def test_mixed_ctf_includes_strictly_mixed_points():

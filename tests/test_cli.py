@@ -226,6 +226,32 @@ def test_verification_mismatch_exits_3(capsys, monkeypatch):
     assert code == 3
 
 
+def test_verify_renders_decimals_in_json_and_counterexamples(capsys, monkeypatch):
+    argv = ("goldmines", "verify", "--M", "1", "--rho", "1/2", "--mu", "-3/4",
+            "--ca", "3", "--cb", "1", "--decimal")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["rho"], doc["mu"]) == ("0.5", "-0.75")
+    assert doc["predicted"] == doc["observed"] == [["1.5", "-0.25"]]
+
+    doctored = VerificationReport(
+        params=GameParams(1, F(1, 2), F(-3, 4), 3, 1),
+        predicted=frozenset({(F(3, 2), F(-1, 4))}),
+        observed=frozenset({(F(1, 2), F(-1, 4))}),
+        equilibria_found=1,
+        match=False,
+        counterexamples=((((0, 0, 0, 0), (1, 1, 1, 1)), (F(1, 2), F(-1, 4))),),
+    )
+    monkeypatch.setattr(oracle, "verify_closed_form", lambda p: doctored)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert "0000 1111 -> (0.5, -0.25)" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    assert json.loads(out)["counterexamples"][0]["payoff"] == ["0.5", "-0.25"]
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["goldmines", "ctf", "--M", "1", "--rho", "0.5", "--mu", "-3/4",

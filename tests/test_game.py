@@ -16,10 +16,11 @@ from capgames import (
     equilibrium_welfare_levels,
     is_capability_positive,
     is_pure_ne,
-    validate_game,
 )
 from capgames.errors import (
+    DimensionMismatch,
     EmptyGame,
+    GameFormatError,
     HierarchyViolation,
     IncompletePayoffs,
     OutOfBounds,
@@ -50,18 +51,37 @@ def test_from_matrices_round_trip():
     assert g.payoffs[(1, 0)] == (2, 1)
     assert g.n_players == 2
     assert g.bounds == (2, 1)
-    validate_game(g)
+    assert all(type(v) is Fraction for vec in g.payoffs.values() for v in vec)
 
 
-def test_validate_rejects_no_players():
+@pytest.mark.parametrize(
+    "u1,u2",
+    [
+        ([[1, 2], [3]], [[1, 2], [3, 4]]),  # short row in u1
+        ([[1, 2], [3, 4]], [[1, 2], [3]]),  # short row in u2
+        ([[1, 2], [3, 4]], [[1, 2], [3, 4], [5, 6]]),  # extra row in u2
+        ([[1, 2], [3, 4]], [[1, 2, 0], [3, 4, 0]]),  # extra column in u2
+        ([[1, 2], [3, 4]], [[1, 2]]),  # missing row in u2
+    ],
+)
+def test_from_matrices_rejects_ragged_or_mismatched_matrices(u1, u2):
+    with pytest.raises(DimensionMismatch):
+        CapabilityGame.from_matrices(u1, u2)
+
+
+def test_construction_rejects_no_players():
     with pytest.raises(EmptyGame):
-        validate_game(CapabilityGame(actions=(), cutoffs=(), payoffs={}))
+        CapabilityGame(actions=(), cutoffs=(), payoffs={})
 
 
-def test_validate_rejects_empty_action_list():
-    g = CapabilityGame(actions=(("a",), ()), cutoffs=((1,), (0,)), payoffs={})
+def test_construction_rejects_empty_action_list():
     with pytest.raises(EmptyGame):
-        validate_game(g)
+        CapabilityGame(actions=(("a",), ()), cutoffs=((1,), (0,)), payoffs={})
+
+
+def test_construction_rejects_a_missing_chain():
+    with pytest.raises(HierarchyViolation, match="one cutoff chain required per player"):
+        CapabilityGame((("a",), ("l",)), ((1,),), {(0, 0): (0, 0)})
 
 
 @pytest.mark.parametrize(
@@ -74,41 +94,53 @@ def test_validate_rejects_empty_action_list():
         (),  # empty chain
     ],
 )
-def test_validate_rejects_bad_cutoffs(bad):
-    g = CapabilityGame(
-        actions=(("a", "b"), ("l", "r")),
-        cutoffs=(bad, (1, 2)),
-        payoffs=_full_payoffs((2, 2)),
-    )
+def test_construction_rejects_bad_cutoffs(bad):
     with pytest.raises(HierarchyViolation):
-        validate_game(g)
+        CapabilityGame(
+            actions=(("a", "b"), ("l", "r")),
+            cutoffs=(bad, (1, 2)),
+            payoffs=_full_payoffs((2, 2)),
+        )
 
 
-def test_validate_rejects_missing_and_extra_profiles():
+def test_construction_rejects_missing_and_extra_profiles():
     full = _full_payoffs((2, 2))
     partial = dict(full)
     del partial[(1, 1)]
     with pytest.raises(IncompletePayoffs):
-        validate_game(
-            CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), partial))
+        CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), partial)
     # the right number of entries, one of them under a key that is no profile
     wrong_key = dict(partial)
     wrong_key[(2, 2)] = (0, 0)
     with pytest.raises(IncompletePayoffs, match="missing payoff for profile"):
-        validate_game(
-            CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), wrong_key))
+        CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), wrong_key)
     short_vector = dict(full)
     short_vector[(1, 1)] = (0,)
     with pytest.raises(IncompletePayoffs):
-        validate_game(
-            CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), short_vector))
+        CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), short_vector)
 
 
-def test_queries_validate_the_game_first():
-    # a repeated cutoff leaves level 2 of player 2 without an action
-    g = CapabilityGame.from_matrices([[1, 2]], [[1, 2]], cutoffs2=(1, 1, 2))
+def test_construction_rejects_a_repeated_cutoff():
+    # a repeated cutoff would leave level 2 of player 2 without an action
     with pytest.raises(HierarchyViolation):
-        ctf_pure(g, (1, 2))
+        CapabilityGame.from_matrices([[1, 2]], [[1, 2]], cutoffs2=(1, 1, 2))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "0.5", True, None],
+                         ids=["float", "whole-float", "decimal-string", "bool", "none"])
+def test_construction_rejects_an_inexact_payoff(bad):
+    payoffs = _full_payoffs((2, 2))
+    payoffs[(1, 0)] = (0, bad)
+    with pytest.raises(GameFormatError, match=r"profile \(1, 0\)"):
+        CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (2,)), payoffs)
+
+
+def test_game_keeps_its_own_payoffs():
+    payoffs = {(0, 0): (1, 2), (0, 1): (-1, 1), (1, 0): (2, 1), (1, 1): (0, 2)}
+    g = CapabilityGame((("r1", "r2"), ("c1", "c2")), ((1, 2), (2,)), payoffs)
+    payoffs[(0, 0)] = (5, 5)
+    assert g.payoffs[(0, 0)] == (1, 2)
+    assert ctf_pure(g, (1, 1)) == ctf_pure(SHRINK, (1, 1)) == {(1, 2)}
 
 
 def test_restricted_sizes_and_bounds_checks():
@@ -130,6 +162,19 @@ def test_restricted_sizes_and_bounds_checks():
         ctf_pure(SHRINK, (3, 1))
     with pytest.raises(OutOfBounds):
         ctf_pure(SHRINK, (1, 1, 1))
+
+
+def test_capabilities_and_actions_must_be_integers():
+    with pytest.raises(OutOfBounds, match="must hold integers"):
+        ctf_pure(SHRINK, (1.0, 1))
+    with pytest.raises(OutOfBounds, match="must hold integers"):
+        restricted_sizes(SHRINK, ("1", 1))
+    # 1.0 lies inside the restricted space of size 2, so only its type is wrong
+    with pytest.raises(OutOfBounds, match="must hold integers"):
+        is_pure_ne(SHRINK, (1, 1), (0, 1.0))
+    # numpy integers are integers
+    assert ctf_pure(SHRINK, (np.int64(2), np.int32(1))) == {(0, 2)}
+    assert is_pure_ne(SHRINK, (np.int64(1), 1), (np.int64(0), np.int16(0)))
 
 
 def test_pure_ne_respects_restriction():
@@ -171,7 +216,6 @@ def test_enumerate_matches_definition_on_random_games():
         n_players = rng.randint(2, 3)
         n_actions = rng.randint(2, 4)
         g = _random_game(rng, n_players, n_actions, rng.randint(1, 2))
-        validate_game(g)
         caps = tuple(rng.randint(1, len(g.cutoffs[i])) for i in range(n_players))
         assert enumerate_pure_ne(g, caps) == pure_ne_by_sweep(g, caps)
 
