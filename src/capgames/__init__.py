@@ -32,6 +32,7 @@ from .goldmines import (
     build_complement_cover,
     build_equilibrium,
     equal_capability_welfare,
+    equilibrium_payoff_grid,
     equilibrium_payoffs,
     pad_segments,
     payoff,
@@ -66,6 +67,7 @@ __all__ = [
     "enumerate_pure_ne",
     "enumerate_strategies",
     "equal_capability_welfare",
+    "equilibrium_payoff_grid",
     "equilibrium_payoffs",
     "equilibrium_welfare_levels",
     "expected_payoff",

@@ -110,21 +110,21 @@ def cmd_goldmines_ctf(
     cb_max: int,
     verify: bool = False,
 ) -> OutputTable:
-    """Closed-form payoff sets over the capability grid, optionally checked
-    against brute force (the check is skipped where the oracle's payoff table
-    would not fit)."""
+    """Closed-form payoff sets over the capability grid, from one
+    ``equilibrium_payoff_grid`` pass, optionally checked against brute force
+    (the check is skipped where the oracle's payoff table would not fit)."""
     if ca_max < 1 or cb_max < 1:
         raise OutOfRange(f"capabilities must be at least 1, got {ca_max}, {cb_max}")
     do_verify = verify and oracle.fits(scale)
     header = ["cap_a", "cap_b", "payoffs"] + (["match"] if do_verify else [])
     table = OutputTable(header)
-    for ca in range(1, ca_max + 1):
-        for cb in range(1, cb_max + 1):
-            params = GameParams(scale, rho, mu, ca, cb)
-            row: list[Cell] = [ca, cb, _vector_set(goldmines.equilibrium_payoffs(params))]
-            if do_verify:
-                row.append(oracle.verify_closed_form(params).match)
-            table.rows.append(row)
+    grid = goldmines.equilibrium_payoff_grid(scale, rho, mu, ca_max, cb_max)
+    cells = product(range(1, ca_max + 1), range(1, cb_max + 1))
+    for (ca, cb), payoffs in zip(cells, grid):
+        row: list[Cell] = [ca, cb, _vector_set(payoffs)]
+        if do_verify:
+            row.append(oracle.verify_closed_form(GameParams(scale, rho, mu, ca, cb)).match)
+        table.rows.append(row)
     return table
 
 

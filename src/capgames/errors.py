@@ -78,5 +78,5 @@ class ScaleLimitExceeded(CapgamesError):
 
 
 class GameFormatError(CapgamesError):
-    """A game description is malformed: a JSON file's structure or a payoff
-    that is not an exact rational."""
+    """A game description is malformed: a JSON file's structure, or a payoff
+    or payoff parameter that is not an exact rational."""

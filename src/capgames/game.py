@@ -63,7 +63,14 @@ class CapabilityGame:
                 raise EmptyGame(f"player {p + 1} has no actions")
         if len(self.cutoffs) != self.n_players:
             raise HierarchyViolation("one cutoff chain required per player")
+        cutoffs = []
         for p, chain in enumerate(self.cutoffs):
+            try:
+                chain = tuple(map(operator.index, chain))
+            except TypeError:
+                raise HierarchyViolation(
+                    f"player {p + 1}: cutoffs must be integers, got {chain!r}") from None
+            cutoffs.append(chain)
             if len(chain) == 0 or chain[0] < 1:
                 raise HierarchyViolation(f"player {p + 1}: cutoffs must start at 1 or more")
             if any(a >= b for a, b in zip(chain, chain[1:])):
@@ -72,6 +79,7 @@ class CapabilityGame:
                 raise HierarchyViolation(
                     f"player {p + 1}: top level must equal the full action list "
                     f"({chain[-1]} != {len(self.actions[p])})")
+        object.__setattr__(self, "cutoffs", tuple(cutoffs))
         counts = tuple(len(a) for a in self.actions)
         if len(self.payoffs) != prod(counts):
             raise IncompletePayoffs(
@@ -81,6 +89,10 @@ class CapabilityGame:
             vec = self.payoffs.get(profile)
             if vec is None:
                 raise IncompletePayoffs(f"missing payoff for profile {profile}")
+            if not isinstance(vec, Sequence) or isinstance(vec, (str, bytes)):
+                # a string would split into characters
+                raise IncompletePayoffs(
+                    f"payoff for {profile} must be a sequence, got {vec!r}")
             if len(vec) != self.n_players:
                 raise IncompletePayoffs(
                     f"payoff for {profile} has {len(vec)} entries, want {self.n_players}")
@@ -100,7 +112,15 @@ class CapabilityGame:
         return tuple(len(c) for c in self.cutoffs)
 
     def space_size(self, player: int, level: int) -> int:
-        """Number of actions open to ``player`` at capability ``level`` (1-based)."""
+        """Number of actions open to ``player`` (0-based) at capability
+        ``level`` (1-based); ``OutOfBounds`` for anything else."""
+        try:
+            player, level = operator.index(player), operator.index(level)
+        except TypeError:
+            raise OutOfBounds(
+                f"player and capability must be integers, got {player!r}, {level!r}") from None
+        if not 0 <= player < self.n_players:
+            raise OutOfBounds(f"player {player} outside 0..{self.n_players - 1}")
         b = len(self.cutoffs[player])
         if not 1 <= level <= b:
             raise OutOfBounds(

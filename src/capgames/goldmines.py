@@ -13,15 +13,23 @@ player may only use strategies with at most (or, in strict spaces, exactly)
 their capability's worth of segments.  Under ``0 < rho < -mu < 1`` the pure
 equilibria of the capability-restricted game have payoffs given by a closed
 form, implemented here next to the constructions that realize them.
+
+The closed form is one integer pass: with rho and mu over their common
+denominator, each class payoff is an integer term in one capability plus one
+in the other.  ``equilibrium_payoff_grid`` checks its parameters once,
+computes each row's and each column's terms once, and builds one Fraction
+per distinct numerator; ``equilibrium_payoffs`` is its one-cell case.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    GameFormatError,
     HypothesisViolation,
     InvalidStartLine,
     LengthMismatch,
@@ -29,7 +37,7 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from .rationals import as_fraction
+from .rationals import as_fraction, scaled
 
 Strategy = tuple[int, ...]
 
@@ -43,6 +51,10 @@ class GameParams:
 
     rho: payoff each player gets from a gold site both cover (0 < rho < 1).
     mu:  penalty per covered mine (mu < 0).
+
+    The scale and capabilities must be integers (numpy integers included)
+    and raise ``OutOfRange`` otherwise; rho and mu must be exact rationals
+    and raise ``GameFormatError`` otherwise, floats included.
     """
 
     scale: int
@@ -52,8 +64,17 @@ class GameParams:
     cap_b: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", as_fraction(self.rho))
-        object.__setattr__(self, "mu", as_fraction(self.mu))
+        for name in ("scale", "cap_a", "cap_b"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+        for name in ("rho", "mu"):
+            try:
+                object.__setattr__(self, name, as_fraction(getattr(self, name)))
+            except (TypeError, ValueError) as bad:
+                raise GameFormatError(f"{name}: {bad}") from None
         if self.scale < 1:
             raise OutOfRange(f"scale must be at least 1, got {self.scale}")
         if not 0 < self.rho < 1:
@@ -398,28 +419,17 @@ def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strat
     return fa, fb
 
 
-def _class_payoffs(params: GameParams, start_a: int) -> tuple[Fraction, Fraction]:
-    scale = params.scale
-    ca = min(params.cap_a, 2 * scale + 1)
-    cb = min(params.cap_b, 2 * scale + 1)
-    t = start_a
-    rho, mu = params.rho, params.mu
-    base = (mu + 1) * scale
-    ua = ((ca + t - 1) // 2) * rho - ((ca - t) // 2) * mu + ((cb - t) // 2) * (rho - 1) + base
-    ub = ((cb - t) // 2) * rho - ((cb + t - 1) // 2) * mu + ((ca + t - 1) // 2) * (rho - 1) + base
-    return ua, ub
-
-
 def admissible_start_lines(params: GameParams) -> tuple[int, ...]:
     """Equilibrium classes that exist for these capabilities."""
-    top = 2 * params.scale
-    if params.cap_a <= top and params.cap_b <= top:
+    return _start_lines(params.cap_a, params.cap_b, 2 * params.scale)
+
+
+def _start_lines(cap_a: int, cap_b: int, top: int) -> tuple[int, ...]:
+    if (cap_a <= top) == (cap_b <= top):
+        # both restricted: two classes; both unrestricted: one equilibrium,
+        # same payoffs either way
         return (0, 1)
-    if params.cap_a <= top:
-        return (0,)
-    if params.cap_b <= top:
-        return (1,)
-    return (0, 1)  # both unrestricted: one equilibrium, same payoffs either way
+    return (0,) if cap_a <= top else (1,)  # the restricted player starts on 0
 
 
 def equilibrium_payoffs(params: GameParams) -> frozenset[tuple[Fraction, Fraction]]:
@@ -427,10 +437,58 @@ def equilibrium_payoffs(params: GameParams) -> frozenset[tuple[Fraction, Fractio
 
     Capabilities act only through min(cap, 2*scale + 1).  Generically two
     payoff vectors when both players are restricted (one per class), one
-    otherwise.
+    otherwise.  This is the one-cell case of ``equilibrium_payoff_grid``.
+    """
+    return _payoff_sets(params, (params.cap_a,), (params.cap_b,))[0]
+
+
+def equilibrium_payoff_grid(
+    scale: int, rho: Fraction, mu: Fraction, ca_max: int, cb_max: int
+) -> list[frozenset[tuple[Fraction, Fraction]]]:
+    """``equilibrium_payoffs`` of every capability pair (ca, cb) with
+    1 <= ca <= ca_max and 1 <= cb <= cb_max, in row-major order.
+
+    The parameters, the regime and the two maxima are checked once for the
+    whole grid, as one ``GameParams`` with the maxima as its capabilities.
+    """
+    params = GameParams(scale, rho, mu, ca_max, cb_max)
+    return _payoff_sets(params, range(1, params.cap_a + 1), range(1, params.cap_b + 1))
+
+
+def _payoff_sets(
+    params: GameParams, caps_a: Sequence[int], caps_b: Sequence[int]
+) -> list[frozenset[tuple[Fraction, Fraction]]]:
+    """Closed-form payoff sets of the cells (ca, cb), ca in ``caps_a`` and cb
+    in ``caps_b``, in row-major order, from one integer pass.
+
+    With rho and mu over their common denominator, each player's payoff in
+    an equilibrium class is an integer numerator: a term in its own
+    capability and start line, plus a term in the opponent's.  Both are
+    computed once per row and once per column, and each distinct numerator
+    becomes one Fraction.
     """
     require_closed_form_regime(params.rho, params.mu)
-    return frozenset(_class_payoffs(params, t) for t in admissible_start_lines(params))
+    scale = params.scale
+    (rho, mu), den = scaled((params.rho, params.mu))
+    base = (mu + den) * scale
+
+    def terms(cap: int, start: int) -> tuple[int, int]:
+        # an aligned player with ``cap`` useful segments from line ``start``
+        # covers scale + up golds and scale - down mines; the two players
+        # cover every gold between them, so up_a + up_b golds are shared
+        # and each of the player's ``up`` costs the opponent 1 - rho
+        cap = min(cap, 2 * scale + 1)
+        up = (cap + start - 1) // 2
+        return up * rho - (cap - start) // 2 * mu + base, up * (rho - den)
+
+    rows = [(ca, [terms(ca, t) for t in (0, 1)]) for ca in caps_a]
+    cols = [(cb, [terms(cb, 1 - t) for t in (0, 1)]) for cb in caps_b]
+    top = 2 * scale
+    cells = [[(a[t][0] + b[t][1], b[t][0] + a[t][1]) for t in _start_lines(ca, cb, top)]
+             for ca, a in rows for cb, b in cols]
+    numerators = {n for cell in cells for pair in cell for n in pair}
+    exact = {n: Fraction(n, den) for n in numerators}
+    return [frozenset([(exact[ua], exact[ub]) for ua, ub in cell]) for cell in cells]
 
 
 def equal_capability_welfare(scale: int, rho: Fraction, mu: Fraction, cap: int) -> Fraction:
@@ -439,11 +497,7 @@ def equal_capability_welfare(scale: int, rho: Fraction, mu: Fraction, cap: int) 
     The slope per useful segment is 2*rho - mu - 1, so welfare falls as
     shared capability grows exactly when rho < (1 + mu) / 2.
     """
-    rho, mu = as_fraction(rho), as_fraction(mu)
-    require_closed_form_regime(rho, mu)
-    if scale < 1:
-        raise OutOfRange(f"scale must be at least 1, got {scale}")
-    if cap < 1:
-        raise OutOfRange(f"capability must be at least 1, got {cap}")
-    effective = min(cap, 2 * scale + 1)
-    return (2 * rho - mu - 1) * (effective - 1) + 2 * (mu + 1) * scale
+    p = GameParams(scale, rho, mu, cap, cap)
+    require_closed_form_regime(p.rho, p.mu)
+    effective = min(p.cap_a, 2 * p.scale + 1)
+    return (2 * p.rho - p.mu - 1) * (effective - 1) + 2 * (p.mu + 1) * p.scale

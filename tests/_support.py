@@ -64,6 +64,20 @@ def naive_payoff(fa, fb, rho, mu):
     return ua, ub
 
 
+def class_payoffs_by_fractions(params, start_a):
+    """Closed-form payoffs of one equilibrium class, cell by cell in
+    Fraction arithmetic: the formula as first written."""
+    scale = params.scale
+    ca = min(params.cap_a, 2 * scale + 1)
+    cb = min(params.cap_b, 2 * scale + 1)
+    t = start_a
+    rho, mu = params.rho, params.mu
+    base = (mu + 1) * scale
+    ua = ((ca + t - 1) // 2) * rho - ((ca - t) // 2) * mu + ((cb - t) // 2) * (rho - 1) + base
+    ub = ((cb - t) // 2) * rho - ((cb + t - 1) // 2) * mu + ((ca + t - 1) // 2) * (rho - 1) + base
+    return ua, ub
+
+
 def is_equilibrium_by_sweep(fa, fb, space_a, space_b, rho, mu):
     """Raw deviation check over explicit strategy spaces."""
     ua, ub = naive_payoff(fa, fb, rho, mu)

@@ -1,17 +1,20 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import capgames
 from capgames import oracle
-from capgames.errors import HypothesisViolation, InvalidStartLine, OutOfRange
+from capgames.errors import GameFormatError, HypothesisViolation, InvalidStartLine, OutOfRange
 from capgames.goldmines import (
     GameParams,
     admissible_start_lines,
     build_equilibrium,
     equal_capability_welfare,
+    equilibrium_payoff_grid,
     equilibrium_payoffs,
     is_complete_gold_coverage,
     payoff,
@@ -19,6 +22,7 @@ from capgames.goldmines import (
     segment_count,
     summarize,
 )
+from tests._support import class_payoffs_by_fractions
 
 F = Fraction
 
@@ -180,6 +184,71 @@ class TestWelfare:
             equal_capability_welfare(0, F(1, 2), F(-3, 4), 1)
         with pytest.raises(OutOfRange):
             equal_capability_welfare(1, F(1, 2), F(-3, 4), 0)
+
+    def test_integer_and_rational_guards(self):
+        with pytest.raises(OutOfRange, match="cap_a must be an integer"):
+            equal_capability_welfare(2, F(1, 3), F(-1, 2), 2.5)
+        with pytest.raises(OutOfRange, match="scale must be an integer"):
+            equal_capability_welfare("2", F(1, 3), F(-1, 2), 2)
+        with pytest.raises(GameFormatError, match="rho"):
+            equal_capability_welfare(2, 1 / 3, F(-1, 2), 2)
+        with pytest.raises(GameFormatError, match="mu"):
+            equal_capability_welfare(2, F(1, 3), -0.5, 2)
+        assert equal_capability_welfare(np.int64(2), F(1, 3), F(-1, 2), np.int64(2)) == F(13, 6)
+
+
+class TestPayoffGrid:
+    def test_cells_run_row_major(self):
+        grid = equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 3, 2)
+        assert grid == [equilibrium_payoffs(gm(1, ca, cb))
+                        for ca in (1, 2, 3) for cb in (1, 2)]
+        assert grid[1] == {(F(-1, 4), F(3, 4)), (F(1, 4), 1)}
+
+    def test_is_exported(self):
+        assert capgames.equilibrium_payoff_grid is equilibrium_payoff_grid
+        assert "equilibrium_payoff_grid" in capgames.__all__
+
+    def test_checks_run_for_the_whole_grid(self):
+        with pytest.raises(HypothesisViolation):
+            equilibrium_payoff_grid(1, F(1, 2), F(-1, 4), 2, 2)  # -mu below rho
+        with pytest.raises(OutOfRange):
+            equilibrium_payoff_grid(0, F(1, 2), F(-3, 4), 2, 2)
+        with pytest.raises(OutOfRange):
+            equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 2, 0)
+        with pytest.raises(OutOfRange, match="cap_a must be an integer"):
+            equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 2.0, 2)
+        with pytest.raises(GameFormatError):
+            equilibrium_payoff_grid(1, 0.5, F(-3, 4), 2, 2)
+
+
+@st.composite
+def closed_form_grids(draw):
+    """A board inside the closed-form regime, rho = p/q and mu = -r/s with
+    q and s up to 10**6, and maxima up to two past the full cover's cost."""
+    scale = draw(st.integers(1, 60))
+    q = draw(st.integers(2, 10**6))
+    p = draw(st.integers(1, q - 1))
+    s = draw(st.integers(2, 10**6))
+    r_min = p * s // q + 1  # smallest r with r/s > p/q
+    assume(r_min < s)
+    r = draw(st.integers(r_min, s - 1))
+    ca_max = draw(st.integers(1, 2 * scale + 3))
+    cb_max = draw(st.integers(1, 2 * scale + 3))
+    return scale, F(p, q), F(-r, s), ca_max, cb_max
+
+
+@settings(max_examples=20, deadline=None)
+@given(closed_form_grids())
+def test_payoff_grid_matches_the_fraction_formula(board):
+    scale, rho, mu, ca_max, cb_max = board
+    grid = equilibrium_payoff_grid(scale, rho, mu, ca_max, cb_max)
+    cells = list(product(range(1, ca_max + 1), range(1, cb_max + 1)))
+    assert len(grid) == len(cells)
+    for (ca, cb), payoffs in zip(cells, grid):
+        p = gm(scale, ca, cb, rho, mu)
+        expected = {class_payoffs_by_fractions(p, t) for t in admissible_start_lines(p)}
+        assert payoffs == expected, (ca, cb)
+        assert equilibrium_payoffs(p) == payoffs, (ca, cb)
 
 
 @settings(max_examples=30, deadline=None)

@@ -120,6 +120,41 @@ def test_construction_rejects_missing_and_extra_profiles():
         CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), short_vector)
 
 
+def test_construction_rejects_a_payoff_that_is_no_sequence():
+    with pytest.raises(IncompletePayoffs, match="must be a sequence"):
+        CapabilityGame((("a",),), ((1,),), {(0,): 5})
+
+
+def test_construction_rejects_a_string_payoff_vector():
+    # one character, one player: "7" must not pass as the vector (7,)
+    with pytest.raises(IncompletePayoffs, match="must be a sequence"):
+        CapabilityGame((("a",),), ((1,),), {(0,): "7"})
+
+
+def test_construction_rejects_a_string_cutoff():
+    with pytest.raises(HierarchyViolation, match="cutoffs must be integers"):
+        CapabilityGame((("a",),), (("1",),), {(0,): (7,)})
+
+
+def test_construction_keeps_integer_cutoffs():
+    g = CapabilityGame((("a", "b"),), ((np.int64(1), 2),), {(0,): (1,), (1,): (2,)})
+    assert g.cutoffs == ((1, 2),)
+    assert all(type(c) is int for c in g.cutoffs[0])
+
+
+def test_space_size_rejects_a_level_that_is_no_integer():
+    with pytest.raises(OutOfBounds, match="must be integers"):
+        SHRINK.space_size(0, 1.0)
+
+
+def test_space_size_rejects_a_player_out_of_range():
+    with pytest.raises(OutOfBounds, match="player 3 outside 0..1"):
+        SHRINK.space_size(3, 1)
+    with pytest.raises(OutOfBounds, match="player -1 outside 0..1"):
+        SHRINK.space_size(-1, 1)
+    assert SHRINK.space_size(np.int64(1), np.int64(1)) == 2
+
+
 def test_construction_rejects_a_repeated_cutoff():
     # a repeated cutoff would leave level 2 of player 2 without an action
     with pytest.raises(HierarchyViolation):

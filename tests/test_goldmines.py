@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from capgames.errors import (
+    GameFormatError,
     HypothesisViolation,
     LengthMismatch,
     NonConformingInput,
@@ -349,8 +351,25 @@ class TestGameParams:
     def test_accepts_rational_strings(self):
         p = GameParams(1, "1/2", "-3/4", 1, 1)
         assert (p.rho, p.mu) == (F(1, 2), F(-3, 4))
-        with pytest.raises(TypeError):
+        with pytest.raises(GameFormatError, match="rho"):
             GameParams(1, 0.5, F(-3, 4), 1, 1)
+        with pytest.raises(GameFormatError, match="mu"):
+            GameParams(1, F(1, 2), -0.75, 1, 1)
+        with pytest.raises(GameFormatError, match="mu"):
+            GameParams(1, F(1, 2), "-0.75", 1, 1)
+
+    @pytest.mark.parametrize("field", [0, 3, 4])
+    @pytest.mark.parametrize("bad", [1.0, "3", None, F(2)])
+    def test_scale_and_capabilities_must_be_integers(self, field, bad):
+        args = [2, F(1, 3), F(-1, 2), 1, 2]
+        args[field] = bad
+        with pytest.raises(OutOfRange, match="must be an integer"):
+            GameParams(*args)
+
+    def test_numpy_integers_become_ints(self):
+        p = GameParams(np.int64(2), F(1, 3), F(-1, 2), np.int32(1), np.uint8(2))
+        assert (p.scale, p.cap_a, p.cap_b) == (2, 1, 2)
+        assert all(type(v) is int for v in (p.scale, p.cap_a, p.cap_b))
 
     def test_closed_form_regime_is_stricter_than_construction(self):
         # Valid game parameters that the closed form nevertheless rejects:
