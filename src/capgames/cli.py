@@ -113,8 +113,6 @@ def cmd_goldmines_ctf(
     """Closed-form payoff sets over the capability grid, from one
     ``equilibrium_payoff_grid`` pass, optionally checked against brute force
     (the check is skipped where the oracle's payoff table would not fit)."""
-    if ca_max < 1 or cb_max < 1:
-        raise OutOfRange(f"capabilities must be at least 1, got {ca_max}, {cb_max}")
     do_verify = verify and oracle.fits(scale)
     header = ["cap_a", "cap_b", "payoffs"] + (["match"] if do_verify else [])
     table = OutputTable(header)
@@ -146,6 +144,10 @@ def cmd_goldmines_equilibrium(
 def cmd_goldmines_layout(scale: int) -> OutputTable:
     if scale < 1:
         raise OutOfRange(f"board scale must be a positive integer: {scale}")
+    if 4 * scale > goldmines.MAX_CELLS:
+        # 4*M itself can pass the digits str() converts; name M instead
+        raise OutOfRange(f"a layout at M = {scale} has 4*M rows, "
+                         f"over the {goldmines.MAX_CELLS}-row limit")
     table = OutputTable(["site", "line", "type"])
     for i in range(4 * scale):
         table.rows.append(
@@ -204,6 +206,31 @@ def cmd_game_capability_positive(path: str) -> OutputTable:
     return table
 
 
+# --- printing a command's table and choosing the exit code ---
+
+def _show(table: OutputTable, args: argparse.Namespace) -> int:
+    print(render(table, args.format, args.decimal))
+    return 0
+
+
+def _run_goldmines_ctf(args: argparse.Namespace) -> int:
+    table = cmd_goldmines_ctf(args.scale, args.rho, args.mu, args.ca_max, args.cb_max,
+                              verify=args.verify)
+    _show(table, args)
+    # the match column, present only when the oracle ran, is the last one
+    return 3 if "match" in table.header and not all(row[-1] for row in table.rows) else 0
+
+
+def _run_goldmines_verify(args: argparse.Namespace) -> int:
+    table, report = cmd_goldmines_verify(args.scale, args.rho, args.mu,
+                                         args.ca, args.cb, args.decimal)
+    if args.format == "json":
+        print(json.dumps(report.to_json_dict(args.decimal), indent=2))
+    else:
+        _show(table, args)
+    return 0 if report.match else 3
+
+
 # --- argument plumbing ---
 
 class _Parser(argparse.ArgumentParser):
@@ -257,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="check each cell against brute-force enumeration")
     _add_format(p)
+    p.set_defaults(run=_run_goldmines_ctf)
 
     p = gm_cmds.add_parser("equilibrium", help="construct one pure equilibrium")
     _add_game_params(p)
@@ -265,16 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", dest="start_a", type=int, required=True, choices=(0, 1),
                    help="equilibrium class: player A's line at site 0")
     _add_format(p)
+    p.set_defaults(run=lambda a: _show(cmd_goldmines_equilibrium(
+        a.scale, a.rho, a.mu, a.ca, a.cb, a.start_a), a))
 
     p = gm_cmds.add_parser("layout", help="print the board")
     p.add_argument("--M", dest="scale", type=int, required=True)
     _add_format(p)
+    p.set_defaults(run=lambda a: _show(cmd_goldmines_layout(a.scale), a))
 
     p = gm_cmds.add_parser("verify", help="brute-force check of the closed form")
     _add_game_params(p)
     p.add_argument("--ca", type=int, required=True)
     p.add_argument("--cb", type=int, required=True)
     _add_format(p)
+    p.set_defaults(run=_run_goldmines_verify)
 
     game = groups.add_parser("game", help="generic capability games from JSON files")
     game_cmds = game.add_subparsers(dest="command", required=True)
@@ -283,54 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mode", choices=("pure", "mixed"), default="pure")
     _add_format(p)
+    p.set_defaults(run=lambda a: _show(cmd_game_ctf(a.file, a.mode), a))
 
     p = game_cmds.add_parser("capability-positive",
                              help="per-level welfare sets and the positivity verdict")
     p.add_argument("file")
     _add_format(p)
+    p.set_defaults(run=lambda a: _show(cmd_game_capability_positive(a.file), a))
 
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    fmt, decimal = args.format, getattr(args, "decimal", False)
-    if args.group == "goldmines":
-        if args.command == "ctf":
-            table = cmd_goldmines_ctf(args.scale, args.rho, args.mu,
-                                      args.ca_max, args.cb_max,
-                                      verify=args.verify)
-            print(render(table, fmt, decimal))
-            if args.verify and "match" in table.header:
-                col = table.header.index("match")
-                if not all(row[col] for row in table.rows):
-                    return 3
-            return 0
-        if args.command == "equilibrium":
-            table = cmd_goldmines_equilibrium(args.scale, args.rho, args.mu,
-                                              args.ca, args.cb, args.start_a)
-            print(render(table, fmt, decimal))
-            return 0
-        if args.command == "layout":
-            print(render(cmd_goldmines_layout(args.scale), fmt, decimal))
-            return 0
-        table, report = cmd_goldmines_verify(args.scale, args.rho, args.mu,
-                                             args.ca, args.cb, decimal)
-        if fmt == "json":
-            print(json.dumps(report.to_json_dict(decimal), indent=2))
-        else:
-            print(render(table, fmt, decimal))
-        return 0 if report.match else 3
-    if args.command == "ctf":
-        print(render(cmd_game_ctf(args.file, args.mode), fmt, decimal))
-        return 0
-    print(render(cmd_game_capability_positive(args.file), fmt, decimal))
-    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except HypothesisViolation as bad:
         print(f"capgames: parameter hypothesis violated: {bad}", file=sys.stderr)
         return 2

@@ -64,9 +64,6 @@ def parse_game(obj) -> CapabilityGame:
             f"{len(raw_payoffs) if isinstance(raw_payoffs, list) else type(raw_payoffs).__name__}")
 
     payoffs = dict(zip(product(*(range(k) for k in counts)), raw_payoffs))
-    for profile, vec in payoffs.items():
-        if not isinstance(vec, list):  # a string would split into characters
-            raise IncompletePayoffs(f"payoff vector for profile {profile} must be an array")
     return CapabilityGame(tuple(actions), tuple(cutoffs), payoffs)
 
 

@@ -6,7 +6,9 @@ on line ``(i+1) % 2`` — so lines alternate 1,0,1,0,... — and is gold when
 which line the player occupies there; the player covers site i exactly when
 it stands on the site's line.  Gold covered alone pays 1, gold covered by
 both pays ``rho`` to each, and every covered mine costs ``mu`` (negative) to
-each player covering it.
+each player covering it.  That site rule is stated once, in ``resource_line``,
+``resource_type`` and ``covers``; ``summarize``, ``payoff`` and the oracle's
+payoff table read it from them.
 
 A strategy's cost is its number of maximal constant runs ("segments"); each
 player may only use strategies with at most (or, in strict spaces, exactly)
@@ -16,9 +18,12 @@ form, implemented here next to the constructions that realize them.
 
 The closed form is one integer pass: with rho and mu over their common
 denominator, each class payoff is an integer term in one capability plus one
-in the other.  ``equilibrium_payoff_grid`` checks its parameters once,
-computes each row's and each column's terms once, and builds one Fraction
-per distinct numerator; ``equilibrium_payoffs`` is its one-cell case.
+in the other, built from the golds and mines that ``aligned_coverage_counts``
+says an aligned strategy covers; ``_start_lines`` says which classes exist,
+for the closed form and for ``build_equilibrium`` alike.
+``equilibrium_payoff_grid`` checks its parameters once, computes each row's
+and each column's terms once, and builds one Fraction per distinct
+numerator; ``equilibrium_payoffs`` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ Strategy = tuple[int, ...]
 
 GOLD = "gold"
 MINE = "mine"
+
+# most rows one closed-form output may hold: capability-grid cells, or board
+# sites for a layout; larger requests are refused before anything is built
+MAX_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ def resource_type(i: int, scale: int) -> str:
 
 def covers(f: Strategy, i: int) -> bool:
     """Whether the strategy stands on site i's line there."""
-    return f[i] == (i + 1) % 2
+    return f[i] == resource_line(i, len(f) // 4)
 
 
 # --- strategies ---
@@ -162,14 +171,9 @@ class CoverageSummary:
 
 def summarize(f: Sequence[int]) -> CoverageSummary:
     scale = _check_strategy(f)
-    gold = frozenset(
-        {4 * k for k in range(scale) if f[4 * k] == 1}
-        | {4 * k + 1 for k in range(scale) if f[4 * k + 1] == 0}
-    )
-    mine = frozenset(
-        {4 * k + 2 for k in range(scale) if f[4 * k + 2] == 1}
-        | {4 * k + 3 for k in range(scale) if f[4 * k + 3] == 0}
-    )
+    covered = frozenset(i for i in range(len(f)) if covers(f, i))
+    gold = frozenset(i for i in covered if resource_type(i, scale) == GOLD)
+    mine = covered - gold
     up = frozenset(i for i in range(len(f) - 1) if f[i] == 0 and f[i + 1] == 1)
     down = frozenset(i for i in range(len(f) - 1) if f[i] == 1 and f[i + 1] == 0)
     return CoverageSummary(gold, mine, len(gold), len(mine), up, down,
@@ -182,23 +186,11 @@ def payoff(fa: Sequence[int], fb: Sequence[int], params: GameParams) -> tuple[Fr
     if len(fa) != n or len(fb) != n:
         raise LengthMismatch(
             f"strategies of length {len(fa)}, {len(fb)} on a board of {n} sites")
-    ua = ub = Fraction(0)
-    for i in range(n):
-        line = (i + 1) % 2
-        ca, cb = fa[i] == line, fb[i] == line
-        if i % 4 <= 1:  # gold
-            if ca and cb:
-                ua += params.rho
-                ub += params.rho
-            elif ca:
-                ua += 1
-            elif cb:
-                ub += 1
-        else:  # mine
-            if ca:
-                ua += params.mu
-            if cb:
-                ub += params.mu
+    sa, sb = summarize(fa), summarize(fb)
+    # a gold both players cover pays each of them rho instead of 1
+    shared = len(sa.gold_sites & sb.gold_sites)
+    ua = sa.n_gold - shared * (1 - params.rho) + sa.n_mine * params.mu
+    ub = sb.n_gold - shared * (1 - params.rho) + sb.n_mine * params.mu
     return ua, ub
 
 
@@ -241,21 +233,16 @@ def is_perfect_cover(f: Sequence[int], lo: int, hi: int) -> bool:
     scale = _check_strategy(f)
     if not 0 <= lo <= hi < 4 * scale:
         raise OutOfRange(f"window {lo}..{hi} outside 0..{4 * scale - 1}")
-    for i in range(lo, hi + 1):
-        gold = i % 4 <= 1
-        if covers(f, i) != gold:
-            return False
-    return True
+    return all(covers(f, i) == (resource_type(i, scale) == GOLD)
+               for i in range(lo, hi + 1))
 
 
 def is_complete_gold_coverage(fa: Sequence[int], fb: Sequence[int]) -> bool:
     """Do the two strategies jointly cover all 2*scale gold sites?"""
     if len(fa) != len(fb):
         raise LengthMismatch(f"strategy lengths differ: {len(fa)} vs {len(fb)}")
-    scale = _check_strategy(fa)
-    _check_strategy(fb)
     golds = summarize(fa).gold_sites | summarize(fb).gold_sites
-    return len(golds) == 2 * scale
+    return len(golds) == len(fa) // 2
 
 
 def staircase(scale: int, segments: int, start: int) -> Strategy:
@@ -396,19 +383,16 @@ def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strat
         raise InvalidStartLine(f"start line must be 0 or 1, got {start_a}")
     scale, ca, cb = params.scale, params.cap_a, params.cap_b
     full = 2 * scale + 1
+    if start_a not in _start_lines(ca, cb, 2 * scale):
+        restricted = "A" if cb >= full else "B"
+        raise InvalidStartLine(
+            f"only the class with player {restricted} starting on line 0 exists here")
     if ca >= full and cb >= full:
         pc = perfect_cover(scale)
         return pc, pc
     if cb >= full:
-        # A is the restricted player and must start on line 0
-        if start_a != 0:
-            raise InvalidStartLine(
-                "only the class with player A starting on line 0 exists here")
         return staircase(scale, ca, 0), perfect_cover(scale)
     if ca >= full:
-        if start_a != 1:
-            raise InvalidStartLine(
-                "only the class with player B starting on line 0 exists here")
         return perfect_cover(scale), staircase(scale, cb, 0)
     if ca >= cb:
         fb = staircase(scale, cb, 1 - start_a)
@@ -450,8 +434,12 @@ def equilibrium_payoff_grid(
 
     The parameters, the regime and the two maxima are checked once for the
     whole grid, as one ``GameParams`` with the maxima as its capabilities.
+    A grid of more than ``MAX_CELLS`` cells raises ``OutOfRange``.
     """
     params = GameParams(scale, rho, mu, ca_max, cb_max)
+    if params.cap_a * params.cap_b > MAX_CELLS:
+        raise OutOfRange(f"a {params.cap_a} x {params.cap_b} capability grid is "
+                         f"over the {MAX_CELLS}-cell limit")
     return _payoff_sets(params, range(1, params.cap_a + 1), range(1, params.cap_b + 1))
 
 
@@ -470,16 +458,14 @@ def _payoff_sets(
     require_closed_form_regime(params.rho, params.mu)
     scale = params.scale
     (rho, mu), den = scaled((params.rho, params.mu))
-    base = (mu + den) * scale
 
     def terms(cap: int, start: int) -> tuple[int, int]:
-        # an aligned player with ``cap`` useful segments from line ``start``
-        # covers scale + up golds and scale - down mines; the two players
-        # cover every gold between them, so up_a + up_b golds are shared
-        # and each of the player's ``up`` costs the opponent 1 - rho
-        cap = min(cap, 2 * scale + 1)
-        up = (cap + start - 1) // 2
-        return up * rho - (cap - start) // 2 * mu + base, up * (rho - den)
+        # the two players cover every gold between them, so each gold a
+        # player covers past ``scale`` is one the opponent covers too: it
+        # pays both of them rho instead of 1
+        golds, mines = aligned_coverage_counts(min(cap, 2 * scale + 1), start, scale)
+        shared = golds - scale
+        return golds * den + shared * (rho - den) + mines * mu, shared * (rho - den)
 
     rows = [(ca, [terms(ca, t) for t in (0, 1)]) for ca in caps_a]
     cols = [(cb, [terms(cb, 1 - t) for t in (0, 1)]) for cb in caps_b]

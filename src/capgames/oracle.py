@@ -98,9 +98,9 @@ class PayoffTable:
         self.rho, self.mu = rho, mu
         self.strategies: list[Strategy] = list(zip(*bits.T.tolist()))
         n, sites = bits.shape
-        site = np.arange(sites)
-        cover = bits == (site + 1) % 2
-        gold = site % 4 <= 1
+        cover = bits == [goldmines.resource_line(i, scale) for i in range(sites)]
+        gold = np.array([goldmines.resource_type(i, scale) == goldmines.GOLD
+                         for i in range(sites)])
         n_gold = cover[:, gold].sum(axis=1)
         n_mine = cover[:, ~gold].sum(axis=1)
 

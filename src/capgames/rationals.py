@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
+from .errors import OutOfRange
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -31,9 +33,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction, decimal: bool = False) -> str:
-    """Render a Fraction as "p/q" (bare integer when q == 1), or decimal on request."""
+    """Render a Fraction as "p/q" (bare integer when q == 1), or decimal on
+    request; a decimal past float range raises ``OutOfRange``."""
     if decimal:
-        return repr(float(x))
+        try:
+            return repr(float(x))
+        except OverflowError:
+            raise OutOfRange("value too large to render as a decimal") from None
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from capgames import oracle
+from capgames import goldmines, oracle
 from capgames.cli import (
     cmd_game_ctf,
     cmd_goldmines_ctf,
@@ -189,6 +190,62 @@ def test_ctf_grid_below_capability_1_exits_1(capsys, ca_max, cb_max):
     )
     assert code == 1 and out == ""
     assert "capabilities must be at least 1" in err
+
+
+def test_ctf_checks_its_board_before_its_caps(capsys):
+    # one GameParams checks the grid: scale, rho and mu come before the caps
+    board = ("--rho", "1/2", "--mu", "-3/4", "--ca-max", "0", "--cb-max", "1")
+    code, out, err = run(capsys, "goldmines", "ctf", "--M", "0", *board)
+    assert code == 1 and out == ""
+    assert "scale must be at least 1" in err
+    code, _, err = run(capsys, "goldmines", "ctf", "--M", "1", "--rho", "3/2",
+                       *board[2:])
+    assert code == 2
+    assert "need 0 < rho < 1" in err
+
+
+def test_huge_outputs_are_refused_before_they_are_built(capsys):
+    tracemalloc.start()
+    try:
+        layout = run(capsys, "goldmines", "layout", "--M", str(10**9))
+        grid = run(capsys, "goldmines", "ctf", "--M", "1", "--rho", "1/2",
+                   "--mu", "-3/4", "--ca-max", str(10**6), "--cb-max", str(10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert layout == (1, "", "capgames: a layout at M = 1000000000 has 4*M rows, "
+                             "over the 1048576-row limit\n")
+    assert grid == (1, "", "capgames: a 1000000 x 1000000 capability grid is "
+                           "over the 1048576-cell limit\n")
+    assert peak < 1_000_000  # the argument parser, not the output
+
+
+def test_output_limit_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(goldmines, "MAX_CELLS", 8)
+    code, out, _ = run(capsys, "goldmines", "layout", "--M", "2")
+    assert code == 0 and len(out.splitlines()) == 1 + 8
+    code, out, err = run(capsys, "goldmines", "layout", "--M", "3")
+    assert code == 1 and out == "" and "8-row limit" in err
+
+    board = ("goldmines", "ctf", "--M", "1", "--rho", "1/2", "--mu", "-3/4")
+    code, out, _ = run(capsys, *board, "--ca-max", "4", "--cb-max", "2")
+    assert code == 0 and len(out.splitlines()) == 1 + 8
+    code, out, err = run(capsys, *board, "--ca-max", "3", "--cb-max", "3")
+    assert code == 1 and out == "" and "3 x 3 capability grid" in err
+
+
+def test_decimal_past_float_range_exits_1(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"players": [{"actions": ["a"], "cutoffs": [1]}],
+                                "payoffs": [[10**400]]}))
+    for argv in (("game", "ctf", str(huge)),
+                 ("goldmines", "ctf", "--M", "1" + "0" * 400, "--rho", "1/2",
+                  "--mu", "-3/4", "--ca-max", "1", "--cb-max", "1")):
+        code, out, err = run(capsys, *argv, "--decimal")
+        assert (code, out) == (1, "")
+        assert err == "capgames: value too large to render as a decimal\n"
+        code, _, _ = run(capsys, *argv)  # exact rendering has no range to leave
+        assert code == 0
 
 
 def test_impossible_equilibrium_class_exits_1(capsys):

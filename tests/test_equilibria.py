@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import capgames
-from capgames import oracle
+from capgames import goldmines, oracle
 from capgames.errors import GameFormatError, HypothesisViolation, InvalidStartLine, OutOfRange
 from capgames.goldmines import (
     GameParams,
@@ -101,6 +102,18 @@ class TestBuildEquilibrium:
     def test_regime_guard_runs_first(self):
         with pytest.raises(HypothesisViolation):
             build_equilibrium(gm(1, 1, 1, F(1, 2), F(-1, 2)), 0)
+
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_refuses_exactly_the_classes_that_do_not_exist(self, scale):
+        for ca, cb in product(range(1, 2 * scale + 3), repeat=2):
+            p = gm(scale, ca, cb)
+            for t in (0, 1):
+                if t not in admissible_start_lines(p):
+                    with pytest.raises(InvalidStartLine, match="starting on line 0"):
+                        build_equilibrium(p, t)
+                else:
+                    fa, fb = build_equilibrium(p, t)
+                    assert payoff(fa, fb, p) in equilibrium_payoffs(p), (ca, cb, t)
 
     def test_unit_board_pair_is_the_first_brute_force_pair_of_its_class(self):
         # Pins the construction at scale 1 to the pair an exhaustive search
@@ -219,6 +232,22 @@ class TestPayoffGrid:
             equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 2.0, 2)
         with pytest.raises(GameFormatError):
             equilibrium_payoff_grid(1, 0.5, F(-3, 4), 2, 2)
+
+    def test_refuses_a_huge_grid_before_building_it(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange, match="1000000 x 1000000"):
+                equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 10**6, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_cell_limit_boundary(self, monkeypatch):
+        monkeypatch.setattr(goldmines, "MAX_CELLS", 6)
+        assert len(equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 3, 2)) == 6
+        with pytest.raises(OutOfRange, match="7 x 1 .* 6-cell limit"):
+            equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 7, 1)
 
 
 @st.composite

@@ -73,6 +73,9 @@ def test_round_trip_keeps_fractions_as_strings():
          IncompletePayoffs),  # wrong arity
         # a string vector would split into one entry per character
         (lambda d: {**d, "payoffs": ["12"] + d["payoffs"][1:]}, IncompletePayoffs),
+        # so would an object, into its keys
+        (lambda d: {**d, "payoffs": [{"a": 1, "b": 2}] + d["payoffs"][1:]},
+         IncompletePayoffs),
         # one vector too many: the profile loop would drop it unseen
         (lambda d: {**d, "payoffs": d["payoffs"] + [[0, 0]]}, IncompletePayoffs),
         (lambda d: {**d, "payoffs": [[0.5, 2]] + d["payoffs"][1:]},

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from capgames.errors import OutOfRange
 from capgames.rationals import as_fraction, format_rational, parse_rational, scaled
 
 F = Fraction
@@ -31,6 +32,13 @@ def test_format_is_the_parsing_inverse():
     assert format_rational(F(4, 2)) == "2"
     assert format_rational(F(1, 2), decimal=True) == "0.5"
     assert format_rational(F(-3, 4), decimal=True) == "-0.75"
+
+
+@pytest.mark.parametrize("big", [F(10**400), F(-(10**400), 3)])
+def test_decimal_past_float_range_is_out_of_range(big):
+    with pytest.raises(OutOfRange, match="too large to render as a decimal"):
+        format_rational(big, decimal=True)
+    assert format_rational(big) == str(big)
 
 
 def test_as_fraction_coercions():
