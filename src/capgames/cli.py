@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import bimatrix, gamefile, goldmines, oracle
-from .errors import CapgamesError, HypothesisViolation, OutOfRange
+from .errors import CapgamesError, HypothesisViolation
 from .game import (
     equilibrium_welfare_levels,
     is_capability_positive,
@@ -142,12 +142,7 @@ def cmd_goldmines_equilibrium(
 
 
 def cmd_goldmines_layout(scale: int) -> OutputTable:
-    if scale < 1:
-        raise OutOfRange(f"board scale must be a positive integer: {scale}")
-    if 4 * scale > goldmines.MAX_CELLS:
-        # 4*M itself can pass the digits str() converts; name M instead
-        raise OutOfRange(f"a layout at M = {scale} has 4*M rows, "
-                         f"over the {goldmines.MAX_CELLS}-row limit")
+    goldmines.require_board(scale)
     table = OutputTable(["site", "line", "type"])
     for i in range(4 * scale):
         table.rows.append(

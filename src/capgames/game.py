@@ -13,7 +13,6 @@ All payoffs are exact rationals; nothing here is ever rounded.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +31,7 @@ from .errors import (
     OutOfBounds,
     UnequalBounds,
 )
-from .rationals import as_fraction, scaled
+from .rationals import as_fraction, as_integer, scaled
 
 PayoffVector = tuple[Fraction, ...]
 
@@ -66,7 +65,7 @@ class CapabilityGame:
         cutoffs = []
         for p, chain in enumerate(self.cutoffs):
             try:
-                chain = tuple(map(operator.index, chain))
+                chain = tuple(map(as_integer, chain))
             except TypeError:
                 raise HierarchyViolation(
                     f"player {p + 1}: cutoffs must be integers, got {chain!r}") from None
@@ -115,7 +114,7 @@ class CapabilityGame:
         """Number of actions open to ``player`` (0-based) at capability
         ``level`` (1-based); ``OutOfBounds`` for anything else."""
         try:
-            player, level = operator.index(player), operator.index(level)
+            player, level = as_integer(player), as_integer(level)
         except TypeError:
             raise OutOfBounds(
                 f"player and capability must be integers, got {player!r}, {level!r}") from None
@@ -258,7 +257,7 @@ def _profile(values: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     """``values`` as n ints, numpy integers included; ``OutOfBounds`` for a
     wrong length or an entry that is no integer, such as 1.0."""
     try:
-        ints = tuple(map(operator.index, values))
+        ints = tuple(map(as_integer, values))
     except TypeError:
         raise OutOfBounds(f"{what} must hold integers, got {values!r}") from None
     if len(ints) != n:

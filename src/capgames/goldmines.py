@@ -24,11 +24,15 @@ for the closed form and for ``build_equilibrium`` alike.
 ``equilibrium_payoff_grid`` checks its parameters once, computes each row's
 and each column's terms once, and builds one Fraction per distinct
 numerator; ``equilibrium_payoffs`` is its one-cell case.
+
+``build_equilibrium`` has two regimes: staircases for both players when
+either can afford 2*scale segments, else the lower player's staircase and the
+other's padded complement cover.  Each starts with a ``staircase``, which
+checks the board with ``require_board`` before building anything.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -42,15 +46,15 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from .rationals import as_fraction, scaled
+from .rationals import as_fraction, as_integer, scaled
 
 Strategy = tuple[int, ...]
 
 GOLD = "gold"
 MINE = "mine"
 
-# most rows one closed-form output may hold: capability-grid cells, or board
-# sites for a layout; larger requests are refused before anything is built
+# most cells one capability grid, and most sites one board, may hold;
+# larger requests are refused before anything is built
 MAX_CELLS = 1 << 20
 
 
@@ -76,7 +80,7 @@ class GameParams:
         for name in ("scale", "cap_a", "cap_b"):
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, operator.index(value))
+                object.__setattr__(self, name, as_integer(value))
             except TypeError:
                 raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
         for name in ("rho", "mu"):
@@ -107,6 +111,16 @@ def require_closed_form_regime(rho: Fraction, mu: Fraction) -> None:
 
 
 # --- board geometry ---
+
+def require_board(scale: int) -> None:
+    """Refuse a board below scale 1 or of more than ``MAX_CELLS`` sites."""
+    if scale < 1:
+        raise OutOfRange(f"board scale must be a positive integer: {scale}")
+    if 4 * scale > MAX_CELLS:
+        # 4*M itself can pass the digits str() converts; name M instead
+        raise OutOfRange(f"a board at M = {scale} has 4*M sites, "
+                         f"over the {MAX_CELLS}-site limit")
+
 
 def resource_line(i: int, scale: int) -> int:
     """Line (0 or 1) that site i sits on."""
@@ -251,23 +265,21 @@ def staircase(scale: int, segments: int, start: int) -> Strategy:
 
     With start = 1 this walks the unique full perfect cover from the left;
     with start = 0 it perfectly covers everything right of site 0 once the
-    budget allows.  Needs segments <= 2*scale + start.
+    budget allows.  Needs a board ``require_board`` admits and
+    segments <= 2*scale + start.
     """
+    require_board(scale)
     if start not in (0, 1):
         raise OutOfRange(f"start bit must be 0 or 1, got {start}")
     limit = 2 * scale + 1 if start == 1 else 2 * scale
     if not 1 <= segments <= limit:
         raise OutOfRange(
             f"segments {segments} outside 1..{limit} for start {start} at scale {scale}")
+    # the flips follow sites first, first + 2, ...; site i is past
+    # (i - first + 1) // 2 of them, up to all segments - 1
     first = 0 if start == 1 else 2
-    flips = set(range(first, first + 2 * (segments - 1), 2))
-    bits = []
-    v = start
-    for i in range(4 * scale):
-        bits.append(v)
-        if i in flips:
-            v = 1 - v
-    return tuple(bits)
+    return tuple(start ^ (min(max(i - first + 1, 0) // 2, segments - 1) & 1)
+                 for i in range(4 * scale))
 
 
 def perfect_cover(scale: int) -> Strategy:
@@ -280,21 +292,16 @@ def build_complement_cover(fb: Sequence[int]) -> Strategy:
 
     Block by block the response takes the opposite line at the block's edges
     (sites 4k and 4k+3); when the edges disagree the single flip in between
-    goes at the canonical spot.  The result never uses more segments than fb.
+    goes at the canonical spot: down at 4k, or up at 4k+2.  The result never
+    uses more segments than fb.
     """
     scale = _check_strategy(fb)
     if not is_aligned(fb):
         raise NonConformingInput("complement construction needs an aligned strategy")
     bits: list[int] = []
     for k in range(scale):
-        left = 1 - fb[4 * k]
-        right = 1 - fb[4 * k + 3]
-        if left == right:
-            bits += [left] * 4
-        elif left == 1:
-            bits += [1, 0, 0, 0]  # downward flip at 4k
-        else:
-            bits += [0, 0, 0, 1]  # upward flip at 4k+2
+        left, right = 1 - fb[4 * k], 1 - fb[4 * k + 3]
+        bits += [left, left & right, left & right, right]
     return tuple(bits)
 
 
@@ -304,10 +311,11 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
 
     Works left to right, perfecting one four-site block per step while two or
     more segments are still missing, then makes a final single-segment
-    adjustment at the right edge if needed.  Requirements (each reported by
-    name when violated): scale >= 2; 1 <= target <= 2*scale - 1; the input is
-    aligned, within budget, and does not already cover the last block
-    perfectly.
+    adjustment at the right edge if needed; each step recounts only the runs
+    it can change, so this is linear in the board.  Requirements (each
+    reported by name when violated): scale >= 2; 1 <= target <= 2*scale - 1;
+    the input is aligned, within budget, and does not already cover the last
+    block perfectly.
     """
     if scale < 2:
         raise PreconditionViolated("padding needs scale >= 2")
@@ -319,16 +327,21 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
             f"strategy length {len(f_prime)} does not match scale {scale}")
     if not is_aligned(f_prime):
         raise PreconditionViolated("input strategy must be aligned")
-    if segment_count(f_prime) > target:
+    count = segment_count(f_prime)
+    if count > target:
         raise PreconditionViolated(
-            f"input already has {segment_count(f_prime)} segments, over target {target}")
+            f"input already has {count} segments, over target {target}")
     n = 4 * scale
     if is_perfect_cover(f_prime, n - 4, n - 1):
         raise PreconditionViolated("last four sites must be imperfectly covered")
 
     f = list(f_prime)
+    missing = target - count
     k = 0
-    while target - segment_count(f) >= 2:
+    while missing >= 2:
+        # the step rewrites sites 4k+1..4k+4; recount the runs they touch
+        window = slice(max(4 * k - 1, 0), 4 * k + 6)
+        missing += segment_count(f[window])
         if f[4 * k + 3] == 0:
             # alignment forces the next four bits to be 0 here
             f[4 * k + 3] = 1
@@ -338,8 +351,9 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
             # block edges both on line 1: carve the middle out
             f[4 * k + 1] = 0
             f[4 * k + 2] = 0
+        missing -= segment_count(f[window])
         k += 1
-    if target - segment_count(f) == 1:
+    if missing == 1:
         if f[n - 1] == 0:
             f[n - 1] = 1
         elif f[n - 2] == 1:
@@ -355,28 +369,15 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
 
 # --- equilibrium constructions and the closed form ---
 
-def _full_capability_response(opponent: Strategy, cap: int, start: int, scale: int) -> Strategy:
-    """Aligned strategy with exactly ``cap`` segments (cap <= 2*scale) that
-    starts on ``start`` and, together with the opponent, covers every gold."""
-    if cap == 2 * scale:
-        # the padding routine tops out at 2*scale - 1; the earliest-flip
-        # strategy already covers every gold the opponent might miss
-        return staircase(scale, cap, start)
-    comp = build_complement_cover(opponent)
-    if segment_count(comp) == cap:
-        return comp
-    return pad_segments(comp, cap, scale)
-
-
 def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strategy]:
     """One pure equilibrium of the requested class.
 
-    ``start_a`` selects the equilibrium class by fixing player A's bit at
-    site 0.  When both capabilities are below 2*scale + 1 either class
-    exists (A starts on ``start_a``, B on the other line).  When exactly one
-    player can afford the full perfect cover the class is forced: the
-    restricted player starts on line 0.  When both can, both play the
-    perfect cover and ``start_a`` is ignored.
+    ``start_a`` selects the class by fixing player A's bit at site 0; B
+    starts on the other line.  A player who can afford the perfect cover
+    (2*scale + 1 segments) plays it, which forces a restricted opponent onto
+    line 0.  When either capability reaches 2*scale both players play
+    staircases; otherwise the lower-capability player's staircase meets the
+    other's complement cover, padded to exactly its capability.
     """
     require_closed_form_regime(params.rho, params.mu)
     if start_a not in (0, 1):
@@ -387,20 +388,16 @@ def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strat
         restricted = "A" if cb >= full else "B"
         raise InvalidStartLine(
             f"only the class with player {restricted} starting on line 0 exists here")
-    if ca >= full and cb >= full:
-        pc = perfect_cover(scale)
-        return pc, pc
-    if cb >= full:
-        return staircase(scale, ca, 0), perfect_cover(scale)
-    if ca >= full:
-        return perfect_cover(scale), staircase(scale, cb, 0)
-    if ca >= cb:
-        fb = staircase(scale, cb, 1 - start_a)
-        fa = _full_capability_response(fb, ca, start_a, scale)
-    else:
-        fa = staircase(scale, ca, start_a)
-        fb = _full_capability_response(fa, cb, 1 - start_a, scale)
-    return fa, fb
+    if max(ca, cb) >= 2 * scale:
+        return tuple(staircase(scale, min(c, full), 1 if c >= full else t)
+                     for c, t in ((ca, start_a), (cb, 1 - start_a)))
+    a_low = ca < cb
+    low, high, t = (ca, cb, start_a) if a_low else (cb, ca, 1 - start_a)
+    f = staircase(scale, low, t)
+    # the complement covers every gold f misses, with at most high segments
+    comp = build_complement_cover(f)
+    g = comp if segment_count(comp) == high else pad_segments(comp, high, scale)
+    return (f, g) if a_low else (g, f)
 
 
 def admissible_start_lines(params: GameParams) -> tuple[int, ...]:

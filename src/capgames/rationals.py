@@ -6,6 +6,7 @@ rejected on purpose so no value ever passes through binary floating point.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import lcm
@@ -43,6 +44,13 @@ def format_rational(x: Fraction, decimal: bool = False) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def as_integer(value) -> int:
+    """``operator.index`` that refuses booleans, as ``as_fraction`` does."""
+    if isinstance(value, bool):
+        raise TypeError("booleans are not integers")
+    return operator.index(value)
 
 
 def as_fraction(value) -> Fraction:

@@ -96,6 +96,96 @@ def all_strategies(scale):
     return list(product((0, 1), repeat=4 * scale))
 
 
+# --- the gold-and-mines constructions as first written ---
+# Slow references for identity tests: valid inputs only, since the library's
+# own tests pin its error messages.
+
+def staircase_by_flip_set(scale, segments, start):
+    """Earliest-flip staircase, walking the board and flipping at each
+    member of an explicit flip set."""
+    first = 0 if start == 1 else 2
+    flips = set(range(first, first + 2 * (segments - 1), 2))
+    bits = []
+    v = start
+    for i in range(4 * scale):
+        bits.append(v)
+        if i in flips:
+            v = 1 - v
+    return tuple(bits)
+
+
+def complement_by_cases(fb):
+    """Complement cover of an aligned strategy, block by block, with one
+    case per pair of edge lines."""
+    bits = []
+    for k in range(len(fb) // 4):
+        left = 1 - fb[4 * k]
+        right = 1 - fb[4 * k + 3]
+        if left == right:
+            bits += [left] * 4
+        elif left == 1:
+            bits += [1, 0, 0, 0]  # downward flip at 4k
+        else:
+            bits += [0, 0, 0, 1]  # upward flip at 4k+2
+    return tuple(bits)
+
+
+def pad_by_rescan(f_prime, target, scale):
+    """Segment padding that recounts the whole strategy on every step."""
+    f = list(f_prime)
+    n = 4 * scale
+    k = 0
+    while target - segments_of(f) >= 2:
+        if f[4 * k + 3] == 0:
+            f[4 * k + 3] = 1
+            if k + 1 < scale:
+                f[4 * k + 4] = 1
+        elif k > 0 or f[4 * k] == 1:
+            f[4 * k + 1] = 0
+            f[4 * k + 2] = 0
+        k += 1
+    if target - segments_of(f) == 1:
+        if f[n - 1] == 0:
+            f[n - 1] = 1
+        elif f[n - 2] == 1:
+            f[n - 3] = 0
+            f[n - 2] = 0
+            f[n - 1] = 0
+        else:
+            f[n - 5] = 1
+            f[n - 4] = 1
+            f[n - 1] = 0
+    return tuple(f)
+
+
+def equilibrium_by_cases(params, start_a):
+    """One equilibrium of an admissible class, by the five cases the
+    construction was first written with: both, B only, or A only able to
+    afford the perfect cover; then the higher-capability player's response
+    to the other's staircase, a staircase itself at 2*scale segments."""
+    scale, ca, cb = params.scale, params.cap_a, params.cap_b
+    full = 2 * scale + 1
+    pc = staircase_by_flip_set(scale, full, 1)
+    if ca >= full and cb >= full:
+        return pc, pc
+    if cb >= full:
+        return staircase_by_flip_set(scale, ca, 0), pc
+    if ca >= full:
+        return pc, staircase_by_flip_set(scale, cb, 0)
+
+    def respond(opponent, cap, start):
+        if cap == 2 * scale:
+            return staircase_by_flip_set(scale, cap, start)
+        comp = complement_by_cases(opponent)
+        return comp if segments_of(comp) == cap else pad_by_rescan(comp, cap, scale)
+
+    if ca >= cb:
+        fb = staircase_by_flip_set(scale, cb, 1 - start_a)
+        return respond(fb, ca, start_a), fb
+    fa = staircase_by_flip_set(scale, ca, start_a)
+    return fa, respond(fa, cb, 1 - start_a)
+
+
 def pure_ne_by_sweep(game, capability):
     """Every pure equilibrium at ``capability``, in lexicographic order, by
     a raw deviation sweep over the restricted spaces read off

@@ -210,11 +210,15 @@ def test_huge_outputs_are_refused_before_they_are_built(capsys):
         layout = run(capsys, "goldmines", "layout", "--M", str(10**9))
         grid = run(capsys, "goldmines", "ctf", "--M", "1", "--rho", "1/2",
                    "--mu", "-3/4", "--ca-max", str(10**6), "--cb-max", str(10**6))
+        pair = run(capsys, "goldmines", "equilibrium", "--M", str(10**9), "--rho", "1/2",
+                   "--mu", "-3/4", "--ca", "1", "--cb", "1", "--t", "0")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert layout == (1, "", "capgames: a layout at M = 1000000000 has 4*M rows, "
-                             "over the 1048576-row limit\n")
+    board = ("capgames: a board at M = 1000000000 has 4*M sites, "
+             "over the 1048576-site limit\n")
+    assert layout == (1, "", board)
+    assert pair == (1, "", board)
     assert grid == (1, "", "capgames: a 1000000 x 1000000 capability grid is "
                            "over the 1048576-cell limit\n")
     assert peak < 1_000_000  # the argument parser, not the output
@@ -225,7 +229,14 @@ def test_output_limit_boundary(capsys, monkeypatch):
     code, out, _ = run(capsys, "goldmines", "layout", "--M", "2")
     assert code == 0 and len(out.splitlines()) == 1 + 8
     code, out, err = run(capsys, "goldmines", "layout", "--M", "3")
-    assert code == 1 and out == "" and "8-row limit" in err
+    assert code == 1 and out == "" and "8-site limit" in err
+
+    pair = ("goldmines", "equilibrium", "--rho", "1/2", "--mu", "-3/4",
+            "--ca", "1", "--cb", "1", "--t", "0")
+    code, out, _ = run(capsys, *pair, "--M", "2")
+    assert code == 0 and "00000000" in out
+    code, out, err = run(capsys, *pair, "--M", "3")
+    assert code == 1 and out == "" and "8-site limit" in err
 
     board = ("goldmines", "ctf", "--M", "1", "--rho", "1/2", "--mu", "-3/4")
     code, out, _ = run(capsys, *board, "--ca-max", "4", "--cb-max", "2")

@@ -23,7 +23,7 @@ from capgames.goldmines import (
     segment_count,
     summarize,
 )
-from tests._support import class_payoffs_by_fractions
+from tests._support import class_payoffs_by_fractions, equilibrium_by_cases
 
 F = Fraction
 
@@ -159,6 +159,38 @@ class TestBuildEquilibrium:
                     assert fa[0] == t and fb[0] == 1 - t
                 by_class.add(payoff(fa, fb, p))
             assert by_class == equilibrium_payoffs(p)
+
+    @pytest.mark.parametrize("rho,mu", STANDARD_PARAMS[:2])
+    @pytest.mark.parametrize("scale", range(1, 9))
+    def test_matches_the_construction_as_first_written(self, scale, rho, mu):
+        for ca, cb in product(range(1, 2 * scale + 3), repeat=2):
+            p = gm(scale, ca, cb, rho, mu)
+            for t in admissible_start_lines(p):
+                assert build_equilibrium(p, t) == equilibrium_by_cases(p, t), (ca, cb, t)
+
+    def test_padding_scans_a_linear_number_of_sites(self, monkeypatch):
+        # two whole-board counts (the complement, the padding's input), then
+        # at most 2 x 7 sites per padding step and one step per block: at most
+        # 5.5 boards, where a recount of the board per step is thousands
+        scanned = []
+        count = goldmines.segment_count
+        monkeypatch.setattr(goldmines, "segment_count",
+                            lambda f: scanned.append(len(f)) or count(f))
+        scale = 4000
+        fa, fb = build_equilibrium(gm(scale, 6000, 4000, F(1, 4), F(-1, 2)), 1)
+        assert (count(fa), count(fb)) == (6000, 4000)
+        assert len(scanned) > 1000  # one padding step per missing pair of segments
+        assert sum(scanned) <= 6 * (4 * scale)
+
+    def test_refuses_a_board_over_the_site_limit_before_building_it(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange, match="M = 1000000000 has 4.M sites"):
+                build_equilibrium(gm(10**9, 1, 1), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_mixed_regime_payoffs_come_from_the_construction(self):
         # One player exactly at the full-cover cost, one above it.

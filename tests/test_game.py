@@ -132,8 +132,9 @@ def test_construction_rejects_a_string_payoff_vector():
 
 
 def test_construction_rejects_a_string_cutoff():
-    with pytest.raises(HierarchyViolation, match="cutoffs must be integers"):
-        CapabilityGame((("a",),), (("1",),), {(0,): (7,)})
+    for cutoff in ("1", True):  # a boolean is no integer either
+        with pytest.raises(HierarchyViolation, match="cutoffs must be integers"):
+            CapabilityGame((("a",),), ((cutoff,),), {(0,): (7,)})
 
 
 def test_construction_keeps_integer_cutoffs():
@@ -143,8 +144,9 @@ def test_construction_keeps_integer_cutoffs():
 
 
 def test_space_size_rejects_a_level_that_is_no_integer():
-    with pytest.raises(OutOfBounds, match="must be integers"):
-        SHRINK.space_size(0, 1.0)
+    for level in (1.0, True):
+        with pytest.raises(OutOfBounds, match="must be integers"):
+            SHRINK.space_size(0, level)
 
 
 def test_space_size_rejects_a_player_out_of_range():
@@ -204,6 +206,8 @@ def test_capabilities_and_actions_must_be_integers():
         ctf_pure(SHRINK, (1.0, 1))
     with pytest.raises(OutOfBounds, match="must hold integers"):
         restricted_sizes(SHRINK, ("1", 1))
+    with pytest.raises(OutOfBounds, match="must hold integers"):
+        ctf_pure(SHRINK, (True, 1))  # a boolean would read as level 1
     # 1.0 lies inside the restricted space of size 2, so only its type is wrong
     with pytest.raises(OutOfBounds, match="must hold integers"):
         is_pure_ne(SHRINK, (1, 1), (0, 1.0))

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from capgames.errors import (
     GameFormatError,
@@ -36,11 +38,14 @@ from capgames.goldmines import (
     summarize,
 )
 from tests._support import (
+    complement_by_cases,
     coverage_by_rule,
     flips_by_scan,
     naive_payoff,
+    pad_by_rescan,
     random_aligned,
     segments_of,
+    staircase_by_flip_set,
 )
 
 F = Fraction
@@ -216,6 +221,18 @@ class TestStaircase:
         with pytest.raises(OutOfRange):
             staircase(1, 1, 2)
 
+    def test_refuses_a_board_outside_the_site_limit(self):
+        with pytest.raises(OutOfRange, match="board scale must be a positive integer: 0"):
+            staircase(0, 1, 1)
+        with pytest.raises(OutOfRange, match="1048576-site limit"):
+            perfect_cover(10**9)
+
+    def test_matches_the_flip_set_walk(self):
+        for scale in range(1, 7):
+            for start in (0, 1):
+                for seg in range(1, 2 * scale + start + 1):
+                    assert staircase(scale, seg, start) == staircase_by_flip_set(scale, seg, start)
+
     def test_perfect_cover_is_the_maximal_staircase(self):
         for scale in (1, 2, 3):
             f = perfect_cover(scale)
@@ -267,6 +284,13 @@ class TestComplementCover:
             assert is_aligned(fa)
             assert is_complete_gold_coverage(fa, fb)
             assert segment_count(fa) <= segment_count(fb)
+
+    def test_matches_the_case_by_case_blocks_exhaustively(self):
+        aligned = [f for scale in range(1, 5)
+                   for f in product((0, 1), repeat=4 * scale) if is_aligned(f)]
+        assert len(aligned) == 141
+        for f in aligned:
+            assert build_complement_cover(f) == complement_by_cases(f), f
 
     def test_last_block_never_ends_perfectly_covered(self):
         rng = random.Random(87)
@@ -321,6 +345,17 @@ class TestPadSegments:
             done += 1
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.integers(2, 10),
+           flip_prob=st.sampled_from([0.2, 0.5, 0.8]))
+    def test_matches_the_rescanning_reference(self, seed, scale, flip_prob):
+        f = random_aligned(random.Random(seed), scale, flip_prob)
+        assume(not is_perfect_cover(f, 4 * scale - 4, 4 * scale - 1))
+        assume(segment_count(f) <= 2 * scale - 1)
+        for target in range(segment_count(f), 2 * scale):
+            assert pad_segments(f, target, scale) == pad_by_rescan(f, target, scale), target
+
+
 class TestStrategyText:
     def test_round_trip(self):
         assert parse_strategy("1001") == (1, 0, 0, 1)
@@ -359,7 +394,7 @@ class TestGameParams:
             GameParams(1, F(1, 2), "-0.75", 1, 1)
 
     @pytest.mark.parametrize("field", [0, 3, 4])
-    @pytest.mark.parametrize("bad", [1.0, "3", None, F(2)])
+    @pytest.mark.parametrize("bad", [1.0, "3", None, F(2), True])
     def test_scale_and_capabilities_must_be_integers(self, field, bad):
         args = [2, F(1, 3), F(-1, 2), 1, 2]
         args[field] = bad
