@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -139,28 +139,29 @@ def _solve(rows: list[list[int]], nvars: int):
     return solution, ("unique" if len(pivots) == nvars else "degenerate")
 
 
-def _indifference_solution(lines, own: tuple[int, ...], other: tuple[int, ...]):
-    """Mixing over ``other`` equalizing the opponent's payoff on ``own``.
+def _reply(lines, own: tuple[int, ...], other: tuple[int, ...]):
+    """The mix over ``other`` that makes every line in ``own`` pay the same,
+    as ``(weights, value, degenerate)``; None if it is no probability vector
+    or some line pays more than ``value`` against it.
 
-    ``lines`` holds ``rationals.scaled`` of each row of A (solving for the
-    column player's vector y, ``own`` = support rows) or of each column of B
-    (solving for the row player's vector x, ``own`` = support columns).
-    Scaling an equation leaves its solutions alone, so each line's scale
-    multiplies its -1 on the value variable.
+    ``lines`` holds ``rationals.scaled`` of each row of A (solving for y,
+    ``own`` = support rows) or of each column of B (solving for x, ``own`` =
+    support columns).  Scaling an equation leaves its solutions alone, so
+    each line's scale multiplies its -1 on the value variable, and the reply
+    check runs in integers.  ``degenerate``: a singular system or a 0 weight.
     """
     r = len(other)
     system = [[lines[i][0][j] for j in other] + [-lines[i][1], 0] for i in own]
     system.append([1] * r + [0, 1])
-    return _solve(system, r + 1)
-
-
-def _no_better_reply(lines, support: tuple[int, ...], weights, value: Fraction) -> bool:
-    """Whether no scaled line (as in ``_indifference_solution``) pays more
-    than ``value`` against the mix ``weights`` on ``support``; exact, in
-    integers."""
+    solution, status = _solve(system, r + 1)
+    if status == "inconsistent" or any(w < 0 for w in solution[:r]):
+        return None
+    *weights, value = solution
     (target, *mix), _ = scaled([value, *weights])
-    return all(sum(line[j] * w for j, w in zip(support, mix)) <= scale * target
-               for line, scale in lines)
+    if any(sum(line[j] * w for j, w in zip(other, mix)) > scale * target
+           for line, scale in lines):
+        return None
+    return weights, value, status == "degenerate" or 0 in weights
 
 
 def _embed(weights: list[Fraction], support: tuple[int, ...], size: int) -> tuple[Fraction, ...]:
@@ -189,34 +190,18 @@ def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
         for rows in combinations(range(m), size):
             for cols in combinations(range(k), size):
                 # the indifference equations make x'Ay = u and x'By = v, so
-                # the two _no_better_reply checks together are is_mixed_ne;
-                # y and its check come first, so x is solved for fewer pairs
-                ys, y_status = _indifference_solution(a_rows, rows, cols)
-                if y_status == "inconsistent" or any(w < 0 for w in ys[:size]):
+                # the two reply checks together are is_mixed_ne; y comes
+                # first, so x is solved for fewer pairs
+                y_reply = _reply(a_rows, rows, cols)
+                x_reply = _reply(b_cols, cols, rows) if y_reply else None
+                if x_reply is None:
                     continue
-                u = ys[size]
-                if not _no_better_reply(a_rows, cols, ys[:size], u):
-                    continue
-                xs, x_status = _indifference_solution(b_cols, cols, rows)
-                if x_status == "inconsistent" or any(w < 0 for w in xs[:size]):
-                    continue
-                v = xs[size]
-                if not _no_better_reply(b_cols, rows, xs[:size], v):
-                    continue
-                x = _embed(xs[:size], rows, m)
-                y = _embed(ys[:size], cols, k)
-                degenerate = (
-                    x_status == "degenerate"
-                    or y_status == "degenerate"
-                    or any(x[i] == 0 for i in rows)
-                    or any(y[j] == 0 for j in cols)
-                )
-                key = (x, y)
-                prev = found.get(key)
-                if prev is None:
-                    found[key] = MixedEquilibrium(x, y, (u, v), degenerate)
-                elif degenerate and not prev.degenerate:
-                    found[key] = MixedEquilibrium(prev.x, prev.y, prev.values, True)
+                (ys, u, y_degenerate), (xs, v, x_degenerate) = y_reply, x_reply
+                x, y = _embed(xs, rows, m), _embed(ys, cols, k)
+                # a point reached from a second support pair has a zero
+                # weight in one of the two pairs
+                degenerate = x_degenerate or y_degenerate or (x, y) in found
+                found[x, y] = MixedEquilibrium(x, y, (u, v), degenerate)
     return list(found.values())
 
 

@@ -52,28 +52,23 @@ def _vector_set(values) -> VectorSet:
     return tuple(sorted(tuple(v) for v in values))
 
 
-def _cell_text(cell: Cell, decimal: bool) -> str:
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
-    if isinstance(cell, int):
-        return str(cell)
-    if isinstance(cell, Fraction):
-        return format_rational(cell, decimal)
-    parts = []
-    for vec in cell:
-        inner = ", ".join(format_rational(v, decimal) for v in vec)
-        parts.append(inner if len(vec) == 1 else f"({inner})")
-    return ";".join(parts) if parts else "{}"
-
-
 def _cell_json(cell: Cell, decimal: bool):
+    """The one spelling of a cell: JSON renders it as is, text from it."""
     if isinstance(cell, (str, bool, int)):
         return cell
     if isinstance(cell, Fraction):
         return format_rational(cell, decimal)
     return [[format_rational(v, decimal) for v in vec] for vec in cell]
+
+
+def _cell_text(cell: Cell, decimal: bool) -> str:
+    value = _cell_json(cell, decimal)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if not isinstance(value, list):
+        return str(value)
+    parts = [vec[0] if len(vec) == 1 else f"({', '.join(vec)})" for vec in value]
+    return ";".join(parts) or "{}"
 
 
 def render(table: OutputTable, fmt: str, decimal: bool = False) -> str:
@@ -216,11 +211,26 @@ def _run_goldmines_ctf(args: argparse.Namespace) -> int:
     return 3 if "match" in table.header and not all(row[-1] for row in table.rows) else 0
 
 
+def verify_json(report: oracle.VerificationReport, decimal: bool = False) -> dict:
+    """``goldmines verify --format json``'s document, spelled by ``_cell_json``."""
+    p, as_json = report.params, lambda cell: _cell_json(cell, decimal)
+    return {
+        "scale": p.scale, "rho": as_json(p.rho), "mu": as_json(p.mu), "cap_a": p.cap_a,
+        "cap_b": p.cap_b, "predicted": as_json(_vector_set(report.predicted)),
+        "observed": as_json(_vector_set(report.observed)),
+        "equilibria_found": report.equilibria_found, "match": report.match,
+        "counterexamples": [{"strategy_a": goldmines.format_strategy(fa),
+                             "strategy_b": goldmines.format_strategy(fb),
+                             "payoff": as_json((value,))[0]}
+                            for (fa, fb), value in report.counterexamples],
+    }
+
+
 def _run_goldmines_verify(args: argparse.Namespace) -> int:
     table, report = cmd_goldmines_verify(args.scale, args.rho, args.mu,
                                          args.ca, args.cb, args.decimal)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(args.decimal), indent=2))
+        print(json.dumps(verify_json(report, args.decimal), indent=2))
     else:
         _show(table, args)
     return 0 if report.match else 3

@@ -34,6 +34,7 @@ from .errors import (
 from .rationals import as_fraction, as_integer, scaled
 
 PayoffVector = tuple[Fraction, ...]
+Profile = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,9 @@ class CapabilityGame:
         return cls((acts1, acts2), (c1, c2), pay)
 
     @cached_property
-    def _equilibria(self) -> dict[tuple[int, ...], tuple[list[int], frozenset[PayoffVector]]]:
-        """Every capability profile's pure equilibria, as flat profile
-        indices in lexicographic order, and their payoff vectors, from one
-        ``ne_cells`` pass.
+    def _equilibria(self) -> dict[Profile, tuple[list[Profile], frozenset[PayoffVector]]]:
+        """Every capability profile's pure equilibria, in lexicographic
+        order, and their payoff vectors, from one ``ne_cells`` pass.
 
         Each player's payoffs are scaled to integers over that player's
         common denominator, and each action's level is read off the cutoff
@@ -165,7 +165,7 @@ class CapabilityGame:
             utilities.append(np.array(ints, dtype=dtype).reshape(counts))
         levels = [np.searchsorted(chain, np.arange(k), side="right") + 1
                   for k, chain in zip(counts, self.cutoffs)]
-        return {cap: (found, frozenset([vectors[i] for i in found]))
+        return {cap: (found, frozenset([self.payoffs[s] for s in found]))
                 for cap, found in ne_cells(utilities, levels).items()}
 
 
@@ -180,7 +180,7 @@ def _payoff_dtype(bound: int):
 
 def ne_cells(
     utilities: Sequence[np.ndarray], levels: Sequence[Sequence[int]]
-) -> dict[tuple[int, ...], list[int]]:
+) -> dict[Profile, list[Profile]]:
     """Every capability profile's pure Nash equilibria, from one pass.
 
     ``utilities[p]`` is player p's exact integer payoff at every full
@@ -197,8 +197,8 @@ def ne_cells(
     box.
 
     Returns a map from every capability profile c, each c_p in
-    ``1..max(levels[p])``, to the flat indices of its equilibria in
-    lexicographic order.
+    ``1..max(levels[p])``, to its equilibria in lexicographic order, each
+    a tuple of action indices.
     """
     shape = utilities[0].shape
     ranks = [np.asarray(lv) - 1 for lv in levels]
@@ -238,10 +238,10 @@ def ne_cells(
     hi = [np.count_nonzero(best[p][:, opponents(p, profiles)] <= u[s], axis=0)
           for p, u in enumerate(utilities)]
     cells = {cap: [] for cap in product(*(range(1, len(b) + 1) for b in best))}
-    for i, low, high in zip(profiles.tolist(), np.transpose(lo).tolist(),
-                            np.transpose(hi).tolist()):
+    for profile, low, high in zip(zip(*(axis.tolist() for axis in s)),
+                                  np.transpose(lo).tolist(), np.transpose(hi).tolist()):
         for cap in product(*(range(a, b + 1) for a, b in zip(low, high))):
-            cells[cap].append(i)
+            cells[cap].append(profile)
     return cells
 
 
@@ -265,10 +265,15 @@ def _profile(values: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     return ints
 
 
+def _checked(game: CapabilityGame, capability: Sequence[int]) -> tuple[Profile, Profile]:
+    """``capability`` as a checked tuple, and the space sizes it gives."""
+    capability = _profile(capability, game.n_players, "capability profile")
+    return capability, tuple(game.space_size(p, c) for p, c in enumerate(capability))
+
+
 def restricted_sizes(game: CapabilityGame, capability: Sequence[int]) -> tuple[int, ...]:
     """Per-player action counts at the given capability profile."""
-    capability = _profile(capability, game.n_players, "capability profile")
-    return tuple(game.space_size(p, c) for p, c in enumerate(capability))
+    return _checked(game, capability)[1]
 
 
 def is_pure_ne(
@@ -282,26 +287,21 @@ def is_pure_ne(
     The answer is a lookup into the same cell map as ``ctf_pure`` and
     ``enumerate_pure_ne``, built by one ``ne_cells`` pass on first use.
     """
-    sizes = restricted_sizes(game, capability)
+    capability, sizes = _checked(game, capability)
     s = _profile(profile, game.n_players, "profile")
     for p, a in enumerate(s):
         if not 0 <= a < sizes[p]:
             raise OutOfBounds(
                 f"action {a} of player {p + 1} outside restricted space of size {sizes[p]}")
-    found, _ = game._equilibria[tuple(capability)]
-    counts = tuple(len(a) for a in game.actions)
-    return int(np.ravel_multi_index(s, counts)) in found
+    return s in game._equilibria[capability][0]
 
 
 def enumerate_pure_ne(
     game: CapabilityGame, capability: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """All pure equilibria of the restricted game, in lexicographic order."""
-    restricted_sizes(game, capability)
-    found, _ = game._equilibria[tuple(capability)]
-    counts = tuple(len(a) for a in game.actions)
-    axes = np.unravel_index(np.array(found, dtype=np.intp), counts)
-    return list(zip(*(axis.tolist() for axis in axes)))
+    capability, _ = _checked(game, capability)
+    return list(game._equilibria[capability][0])
 
 
 def ctf_pure(
@@ -312,8 +312,8 @@ def ctf_pure(
     The first call on a game finds every capability profile's equilibria in
     one pass over the full profiles; later calls are lookups.
     """
-    restricted_sizes(game, capability)
-    return game._equilibria[tuple(capability)][1]
+    capability, _ = _checked(game, capability)
+    return game._equilibria[capability][1]
 
 
 def equilibrium_welfare_levels(game: CapabilityGame) -> list[frozenset[Fraction]]:

@@ -70,11 +70,15 @@ def parse_game(obj) -> CapabilityGame:
 def load_game(path: str | Path) -> CapabilityGame:
     """Load a game description from a JSON file.
 
-    json.JSONDecodeError (with line/column info) propagates for malformed
-    JSON; structural problems raise GameFormatError and friends.
+    The file is read as UTF-8, the JSON encoding.  json.JSONDecodeError
+    (line and column) propagates for malformed JSON; other unreadable or
+    malformed files raise GameFormatError and friends.
     """
-    text = Path(path).read_text()
-    return parse_game(json.loads(text))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, RecursionError) as bad:
+        raise GameFormatError(f"cannot read the game file: {bad}") from None
+    return parse_game(obj)
 
 
 def game_to_json(game: CapabilityGame) -> dict:

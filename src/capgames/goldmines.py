@@ -112,27 +112,34 @@ def require_closed_form_regime(rho: Fraction, mu: Fraction) -> None:
 
 # --- board geometry ---
 
+def spell_integer(n: int) -> str:
+    """``n`` in decimal, or by its bit length past the digits str() converts."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
+
+
 def require_board(scale: int) -> None:
     """Refuse a board below scale 1 or of more than ``MAX_CELLS`` sites."""
     if scale < 1:
         raise OutOfRange(f"board scale must be a positive integer: {scale}")
     if 4 * scale > MAX_CELLS:
-        # 4*M itself can pass the digits str() converts; name M instead
-        raise OutOfRange(f"a board at M = {scale} has 4*M sites, "
+        raise OutOfRange(f"a board at M = {spell_integer(scale)} has 4*M sites, "
                          f"over the {MAX_CELLS}-site limit")
 
 
 def resource_line(i: int, scale: int) -> int:
     """Line (0 or 1) that site i sits on."""
     if not 0 <= i < 4 * scale:
-        raise OutOfRange(f"site {i} outside 0..{4 * scale - 1}")
+        raise OutOfRange(f"site {i} outside 0..{spell_integer(4 * scale - 1)}")
     return (i + 1) % 2
 
 
 def resource_type(i: int, scale: int) -> str:
     """GOLD for i % 4 in {0, 1}, MINE otherwise."""
     if not 0 <= i < 4 * scale:
-        raise OutOfRange(f"site {i} outside 0..{4 * scale - 1}")
+        raise OutOfRange(f"site {i} outside 0..{spell_integer(4 * scale - 1)}")
     return GOLD if i % 4 <= 1 else MINE
 
 
@@ -236,7 +243,8 @@ def aligned_coverage_counts(segments: int, start: int, scale: int) -> tuple[int,
         raise OutOfRange(f"start bit must be 0 or 1, got {start}")
     if not 1 <= segments <= 2 * scale + 1:
         raise OutOfRange(
-            f"segments {segments} outside 1..{2 * scale + 1} at scale {scale}")
+            f"segments {segments} outside 1..{spell_integer(2 * scale + 1)} "
+            f"at scale {spell_integer(scale)}")
     n_gold = scale + (segments + start - 1) // 2
     n_mine = scale - (segments - start) // 2
     return n_gold, n_mine
@@ -321,10 +329,10 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
         raise PreconditionViolated("padding needs scale >= 2")
     if not 1 <= target <= 2 * scale - 1:
         raise PreconditionViolated(
-            f"target segments {target} outside 1..{2 * scale - 1}")
+            f"target segments {target} outside 1..{spell_integer(2 * scale - 1)}")
     if len(f_prime) != 4 * scale:
         raise PreconditionViolated(
-            f"strategy length {len(f_prime)} does not match scale {scale}")
+            f"strategy length {len(f_prime)} does not match scale {spell_integer(scale)}")
     if not is_aligned(f_prime):
         raise PreconditionViolated("input strategy must be aligned")
     count = segment_count(f_prime)

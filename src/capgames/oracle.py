@@ -32,7 +32,7 @@ from . import goldmines
 from .errors import OutOfRange, ScaleLimitExceeded
 from .game import _payoff_dtype, ne_cells
 from .goldmines import GameParams, Strategy
-from .rationals import format_rational, scaled
+from .rationals import scaled
 
 # largest payoff table the oracle may allocate, counted at int64 width:
 # M=3 needs 134 MB, M=4 34 GB; the one limit on exhaustive enumeration
@@ -61,10 +61,12 @@ def _strategy_bits(scale: int) -> tuple[np.ndarray, np.ndarray]:
         raise OutOfRange(f"scale must be at least 1, got {scale}")
     if not fits(scale):
         # past M = 100 the estimate runs to hundreds of digits (and past
-        # M = 1,790 to more than str() converts), so give it as a power
-        size = table_bytes(scale) if scale <= 100 else f"2**{8 * scale + 3}"
+        # M = 1,790 to more than str() converts), so give it as a power;
+        # a scale with more digits than that is named by its bits
+        spell = goldmines.spell_integer
+        size = table_bytes(scale) if scale <= 100 else f"2**{spell(8 * scale + 3)}"
         raise ScaleLimitExceeded(
-            f"scale {scale} needs a {size}-byte payoff table, "
+            f"scale {spell(scale)} needs a {size}-byte payoff table, "
             f"over the {MAX_TABLE_BYTES}-byte limit")
     sites = 4 * scale
     # row i holds the binary digits of i, most significant first
@@ -147,7 +149,7 @@ class PayoffTable:
         )
 
     @cached_property
-    def _cells(self) -> dict[tuple[int, int], list[int]]:
+    def _cells(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """``game.ne_cells`` over this table: the two players' levels are
         their strategies' segment counts.  Computed on first use."""
         return ne_cells((self.ua, self.ua.T), (self.segments, self.segments))
@@ -158,8 +160,7 @@ class PayoffTable:
         if not strict:
             # caps past the most segments clamp to it; caps below 1 have no cell
             top = int(self.segments.max())
-            found = self._cells.get((min(cap_a, top), min(cap_b, top)), [])
-            return [divmod(i, len(self.strategies)) for i in found]
+            return list(self._cells.get((min(cap_a, top), min(cap_b, top)), ()))
         # exact-count spaces are not nested: each cell is a game of its own
         # with one level per player, and caps past the top hold no strategy
         rows = np.flatnonzero(self.segments == cap_a)
@@ -168,7 +169,7 @@ class PayoffTable:
             return []
         sub = (self.ua[np.ix_(rows, cols)], self.ua[np.ix_(cols, rows)].T)
         found = ne_cells(sub, (np.ones_like(rows), np.ones_like(cols)))[1, 1]
-        return [(int(rows[i]), int(cols[j])) for i, j in (divmod(k, cols.size) for k in found)]
+        return [(int(rows[i]), int(cols[j])) for i, j in found]
 
 
 # one table at a time: at M=3 each holds at least 32 MB
@@ -199,29 +200,6 @@ class VerificationReport:
     equilibria_found: int
     match: bool
     counterexamples: tuple[tuple[tuple[Strategy, Strategy], tuple[Fraction, Fraction]], ...]
-
-    def to_json_dict(self, decimal: bool = False) -> dict:
-        fmt = lambda x: format_rational(x, decimal)
-        pairs = lambda vs: [[fmt(u), fmt(v)] for u, v in sorted(vs)]
-        return {
-            "scale": self.params.scale,
-            "rho": fmt(self.params.rho),
-            "mu": fmt(self.params.mu),
-            "cap_a": self.params.cap_a,
-            "cap_b": self.params.cap_b,
-            "predicted": pairs(self.predicted),
-            "observed": pairs(self.observed),
-            "equilibria_found": self.equilibria_found,
-            "match": self.match,
-            "counterexamples": [
-                {
-                    "strategy_a": goldmines.format_strategy(fa),
-                    "strategy_b": goldmines.format_strategy(fb),
-                    "payoff": [fmt(u), fmt(v)],
-                }
-                for (fa, fb), (u, v) in self.counterexamples
-            ],
-        }
 
 
 def verify_closed_form(params: GameParams) -> VerificationReport:

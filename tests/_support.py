@@ -201,7 +201,7 @@ def pure_ne_by_sweep(game, capability):
 
 
 def pure_equilibria_by_levels(utilities, levels, capability):
-    """Flat indices, in lexicographic order, of every pure equilibrium when
+    """Every pure equilibrium, in lexicographic order, when
     player p may play exactly the actions a with ``levels[p][a] <=
     capability[p]``, by a raw deviation sweep over those spaces."""
     shape = utilities[0].shape
@@ -211,7 +211,7 @@ def pure_equilibria_by_levels(utilities, levels, capability):
     for s in product(*spaces):
         if all(utilities[p][s[:p] + (alt,) + s[p + 1:]] <= utilities[p][s]
                for p in range(len(shape)) for alt in spaces[p]):
-            found.append(int(np.ravel_multi_index(s, shape)))
+            found.append(s)
     return found
 
 

@@ -435,6 +435,23 @@ def test_game_file_errors_exit_1(capsys, tmp_path):
     assert "different level counts" in err
 
 
+def test_unreadable_game_files_exit_1(capsys, tmp_path):
+    # a UTF-16 byte order mark is no UTF-8, and 100,000 open brackets nest
+    # past Python's recursion limit; each gives one line and no traceback
+    cases = {
+        b"\xff\xfe{\x00}\x00": "'utf-8' codec can't decode byte 0xff in position 0",
+        b"[" * 100_000: "recursion",
+    }
+    path = tmp_path / "unreadable.json"
+    for data, reason in cases.items():
+        path.write_bytes(data)
+        code, out, err = run(capsys, "game", "ctf", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("capgames: cannot read the game file: ")
+        assert reason in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_command_functions_return_tables_directly():
     table = cmd_game_ctf(FIXTURE, mode="pure")
     assert table.header == ["c1", "c2", "payoffs"]

@@ -223,6 +223,12 @@ def test_pure_ne_respects_restriction():
     assert not is_pure_ne(SHRINK, (2, 1), (0, 0))
     assert enumerate_pure_ne(SHRINK, (1, 1)) == [(0, 0)]
     assert enumerate_pure_ne(SHRINK, (2, 1)) == [(1, 1)]
+    # a capability profile may also be an iterator, read once, or an array
+    for form in (tuple, iter, np.array):
+        assert is_pure_ne(SHRINK, form((1, 1)), (0, 0))
+        assert not is_pure_ne(SHRINK, form((2, 1)), (0, 0))
+        assert enumerate_pure_ne(SHRINK, form((1, 1))) == [(0, 0)]
+        assert ctf_pure(SHRINK, form((1, 1))) == {(1, 2)}
 
 
 def test_ctf_on_shrinking_example():

@@ -226,6 +226,17 @@ class TestStaircase:
             staircase(0, 1, 1)
         with pytest.raises(OutOfRange, match="1048576-site limit"):
             perfect_cover(10**9)
+        # past the digits str() converts, a scale is named by its bits
+        huge = 10**5000
+        with pytest.raises(OutOfRange, match=f"M = <{huge.bit_length()}-bit integer> has"):
+            staircase(huge, 1, 1)
+        for refused in (lambda: resource_line(-1, huge), lambda: resource_type(-1, huge),
+                        lambda: aligned_coverage_counts(0, 0, huge)):
+            with pytest.raises(OutOfRange, match="-bit integer>"):
+                refused()
+        for target in (0, 1):
+            with pytest.raises(PreconditionViolated, match="-bit integer>"):
+                pad_segments((0,) * 8, target, huge)
 
     def test_matches_the_flip_set_walk(self):
         for scale in range(1, 7):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capgames import goldmines, oracle
+from capgames.cli import verify_json
 from capgames.errors import HypothesisViolation, OutOfRange, ScaleLimitExceeded
 from capgames.goldmines import GameParams
 from capgames.oracle import (
@@ -115,6 +116,13 @@ class TestPayoffTable:
             assert not oracle.fits(scale)
             with pytest.raises(ScaleLimitExceeded, match=rf"2\*\*{8 * scale + 3}-byte"):
                 enumerate_strategies(scale, 1)
+        # past the digits str() converts, the scale is named by its bits
+        huge = 10**5000
+        assert not oracle.fits(huge)
+        with pytest.raises(ScaleLimitExceeded, match=f"scale <{huge.bit_length()}-bit integer>"):
+            enumerate_strategies(huge, 1)
+        with pytest.raises(ScaleLimitExceeded, match=f"scale <{huge.bit_length()}-bit integer>"):
+            verify_closed_form(GameParams(huge, F(1, 2), F(-3, 4), 1, 1))
 
 
 class TestOnePass:
@@ -229,7 +237,7 @@ class TestVerification:
         assert report.match
 
     def test_json_round_trip_shape(self):
-        d = verify_closed_form(gm(1, 3, 1)).to_json_dict()
+        d = verify_json(verify_closed_form(gm(1, 3, 1)))
         assert d == {
             "scale": 1,
             "rho": "1/2",

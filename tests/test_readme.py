@@ -1,7 +1,11 @@
 import ast
 import re
+import shlex
+import shutil
 from fractions import Fraction
 from pathlib import Path
+
+from capgames.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +30,21 @@ def test_library_example_values_hold(monkeypatch):
         else:
             exec(code, namespace)
     assert checked == 5
+
+
+def test_cli_examples_print_what_the_readme_shows(capsys, monkeypatch, tmp_path):
+    # Each "$ capgames ..." block runs from a directory holding the game
+    # file at the path the README names and the README's game-file json
+    # block as dilemma.json; its stdout must be the rest of the block.
+    readme = (ROOT / "README.md").read_text()
+    (tmp_path / "tests" / "data").mkdir(parents=True)
+    fixture = Path("tests", "data", "capability_decrease.json")
+    shutil.copy(ROOT / fixture, tmp_path / fixture)
+    (game,) = re.findall(r"^```json\n(.*?)^```$", readme, re.S | re.M)
+    (tmp_path / "dilemma.json").write_text(game)
+    monkeypatch.chdir(tmp_path)
+    examples = re.findall(r"^```\n\$ capgames (.*?)\n(.*?)^```$", readme, re.S | re.M)
+    for command, shown in examples:
+        assert main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out == shown, command
+    assert len(examples) == 6
