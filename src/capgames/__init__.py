@@ -43,7 +43,6 @@ from .goldmines import (
 from .oracle import (
     VerificationReport,
     enumerate_pure_equilibria,
-    enumerate_strategies,
     verify_closed_form,
     verify_strict_ne_coverage,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ctf_pure",
     "enumerate_pure_equilibria",
     "enumerate_pure_ne",
-    "enumerate_strategies",
     "equal_capability_welfare",
     "equilibrium_payoff_grid",
     "equilibrium_payoffs",

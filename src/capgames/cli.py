@@ -7,7 +7,8 @@ Every command renders an OutputTable as aligned text, CSV, or JSON; all
 numbers are exact rationals unless --decimal is passed.
 
 The CLI holds no game logic of its own — each cell is produced by a library
-call, so scripting against the library reproduces every printed number.
+call, so scripting against the library reproduces every printed number, and
+only the oracle decides which boards brute force can check.
 
 Exit codes: 0 success (and verification matched), 1 usage or input errors,
 2 parameter-hypothesis violations, 3 verification mismatch.
@@ -106,16 +107,15 @@ def cmd_goldmines_ctf(
     verify: bool = False,
 ) -> OutputTable:
     """Closed-form payoff sets over the capability grid, from one
-    ``equilibrium_payoff_grid`` pass, optionally checked against brute force
-    (the check is skipped where the oracle's payoff table would not fit)."""
-    do_verify = verify and oracle.fits(scale)
-    header = ["cap_a", "cap_b", "payoffs"] + (["match"] if do_verify else [])
+    ``equilibrium_payoff_grid`` pass, optionally checked cell by cell against
+    brute force, which refuses a board past its table limit."""
+    header = ["cap_a", "cap_b", "payoffs"] + (["match"] if verify else [])
     table = OutputTable(header)
     grid = goldmines.equilibrium_payoff_grid(scale, rho, mu, ca_max, cb_max)
     cells = product(range(1, ca_max + 1), range(1, cb_max + 1))
     for (ca, cb), payoffs in zip(cells, grid):
         row: list[Cell] = [ca, cb, _vector_set(payoffs)]
-        if do_verify:
+        if verify:
             row.append(oracle.verify_closed_form(GameParams(scale, rho, mu, ca, cb)).match)
         table.rows.append(row)
     return table
@@ -207,8 +207,8 @@ def _run_goldmines_ctf(args: argparse.Namespace) -> int:
     table = cmd_goldmines_ctf(args.scale, args.rho, args.mu, args.ca_max, args.cb_max,
                               verify=args.verify)
     _show(table, args)
-    # the match column, present only when the oracle ran, is the last one
-    return 3 if "match" in table.header and not all(row[-1] for row in table.rows) else 0
+    # with --verify, the match column is the last one
+    return 3 if args.verify and not all(row[-1] for row in table.rows) else 0
 
 
 def verify_json(report: oracle.VerificationReport, decimal: bool = False) -> dict:

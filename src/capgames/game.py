@@ -31,7 +31,7 @@ from .errors import (
     OutOfBounds,
     UnequalBounds,
 )
-from .rationals import as_fraction, as_integer, scaled
+from .rationals import as_fraction, as_integer, scaled, spell_integer
 
 PayoffVector = tuple[Fraction, ...]
 Profile = tuple[int, ...]
@@ -120,11 +120,12 @@ class CapabilityGame:
             raise OutOfBounds(
                 f"player and capability must be integers, got {player!r}, {level!r}") from None
         if not 0 <= player < self.n_players:
-            raise OutOfBounds(f"player {player} outside 0..{self.n_players - 1}")
+            raise OutOfBounds(
+                f"player {spell_integer(player)} outside 0..{self.n_players - 1}")
         b = len(self.cutoffs[player])
         if not 1 <= level <= b:
             raise OutOfBounds(
-                f"capability {level} for player {player + 1} outside 1..{b}")
+                f"capability {spell_integer(level)} for player {player + 1} outside 1..{b}")
         return self.cutoffs[player][level - 1]
 
     @classmethod
@@ -291,8 +292,8 @@ def is_pure_ne(
     s = _profile(profile, game.n_players, "profile")
     for p, a in enumerate(s):
         if not 0 <= a < sizes[p]:
-            raise OutOfBounds(
-                f"action {a} of player {p + 1} outside restricted space of size {sizes[p]}")
+            raise OutOfBounds(f"action {spell_integer(a)} of player {p + 1} "
+                              f"outside restricted space of size {sizes[p]}")
     return s in game._equilibria[capability][0]
 
 

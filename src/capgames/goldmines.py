@@ -46,7 +46,7 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from .rationals import as_fraction, as_integer, scaled
+from .rationals import as_fraction, as_integer, scaled, spell_integer
 
 Strategy = tuple[int, ...]
 
@@ -89,14 +89,14 @@ class GameParams:
             except (TypeError, ValueError) as bad:
                 raise GameFormatError(f"{name}: {bad}") from None
         if self.scale < 1:
-            raise OutOfRange(f"scale must be at least 1, got {self.scale}")
+            raise OutOfRange(f"scale must be at least 1, got {spell_integer(self.scale)}")
         if not 0 < self.rho < 1:
             raise HypothesisViolation(f"need 0 < rho < 1, got rho = {self.rho}")
         if self.mu >= 0:
             raise HypothesisViolation(f"need mu < 0, got mu = {self.mu}")
         if self.cap_a < 1 or self.cap_b < 1:
-            raise OutOfRange(
-                f"capabilities must be at least 1, got {self.cap_a}, {self.cap_b}")
+            raise OutOfRange(f"capabilities must be at least 1, "
+                             f"got {spell_integer(self.cap_a)}, {spell_integer(self.cap_b)}")
 
     @property
     def sites(self) -> int:
@@ -112,18 +112,10 @@ def require_closed_form_regime(rho: Fraction, mu: Fraction) -> None:
 
 # --- board geometry ---
 
-def spell_integer(n: int) -> str:
-    """``n`` in decimal, or by its bit length past the digits str() converts."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"<{n.bit_length()}-bit integer>"
-
-
 def require_board(scale: int) -> None:
     """Refuse a board below scale 1 or of more than ``MAX_CELLS`` sites."""
     if scale < 1:
-        raise OutOfRange(f"board scale must be a positive integer: {scale}")
+        raise OutOfRange(f"board scale must be a positive integer: {spell_integer(scale)}")
     if 4 * scale > MAX_CELLS:
         raise OutOfRange(f"a board at M = {spell_integer(scale)} has 4*M sites, "
                          f"over the {MAX_CELLS}-site limit")
@@ -132,14 +124,14 @@ def require_board(scale: int) -> None:
 def resource_line(i: int, scale: int) -> int:
     """Line (0 or 1) that site i sits on."""
     if not 0 <= i < 4 * scale:
-        raise OutOfRange(f"site {i} outside 0..{spell_integer(4 * scale - 1)}")
+        raise OutOfRange(f"site {spell_integer(i)} outside 0..{spell_integer(4 * scale - 1)}")
     return (i + 1) % 2
 
 
 def resource_type(i: int, scale: int) -> str:
     """GOLD for i % 4 in {0, 1}, MINE otherwise."""
     if not 0 <= i < 4 * scale:
-        raise OutOfRange(f"site {i} outside 0..{spell_integer(4 * scale - 1)}")
+        raise OutOfRange(f"site {spell_integer(i)} outside 0..{spell_integer(4 * scale - 1)}")
     return GOLD if i % 4 <= 1 else MINE
 
 
@@ -240,10 +232,10 @@ def aligned_coverage_counts(segments: int, start: int, scale: int) -> tuple[int,
     1 <= segments <= 2*scale + 1.
     """
     if start not in (0, 1):
-        raise OutOfRange(f"start bit must be 0 or 1, got {start}")
+        raise OutOfRange(f"start bit must be 0 or 1, got {spell_integer(start)}")
     if not 1 <= segments <= 2 * scale + 1:
         raise OutOfRange(
-            f"segments {segments} outside 1..{spell_integer(2 * scale + 1)} "
+            f"segments {spell_integer(segments)} outside 1..{spell_integer(2 * scale + 1)} "
             f"at scale {spell_integer(scale)}")
     n_gold = scale + (segments + start - 1) // 2
     n_mine = scale - (segments - start) // 2
@@ -254,7 +246,8 @@ def is_perfect_cover(f: Sequence[int], lo: int, hi: int) -> bool:
     """Covers every gold and no mine among sites lo..hi (inclusive)."""
     scale = _check_strategy(f)
     if not 0 <= lo <= hi < 4 * scale:
-        raise OutOfRange(f"window {lo}..{hi} outside 0..{4 * scale - 1}")
+        raise OutOfRange(
+            f"window {spell_integer(lo)}..{spell_integer(hi)} outside 0..{4 * scale - 1}")
     return all(covers(f, i) == (resource_type(i, scale) == GOLD)
                for i in range(lo, hi + 1))
 
@@ -278,11 +271,11 @@ def staircase(scale: int, segments: int, start: int) -> Strategy:
     """
     require_board(scale)
     if start not in (0, 1):
-        raise OutOfRange(f"start bit must be 0 or 1, got {start}")
+        raise OutOfRange(f"start bit must be 0 or 1, got {spell_integer(start)}")
     limit = 2 * scale + 1 if start == 1 else 2 * scale
     if not 1 <= segments <= limit:
-        raise OutOfRange(
-            f"segments {segments} outside 1..{limit} for start {start} at scale {scale}")
+        raise OutOfRange(f"segments {spell_integer(segments)} outside 1..{limit} "
+                         f"for start {start} at scale {scale}")
     # the flips follow sites first, first + 2, ...; site i is past
     # (i - first + 1) // 2 of them, up to all segments - 1
     first = 0 if start == 1 else 2
@@ -328,8 +321,8 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
     if scale < 2:
         raise PreconditionViolated("padding needs scale >= 2")
     if not 1 <= target <= 2 * scale - 1:
-        raise PreconditionViolated(
-            f"target segments {target} outside 1..{spell_integer(2 * scale - 1)}")
+        raise PreconditionViolated(f"target segments {spell_integer(target)} "
+                                   f"outside 1..{spell_integer(2 * scale - 1)}")
     if len(f_prime) != 4 * scale:
         raise PreconditionViolated(
             f"strategy length {len(f_prime)} does not match scale {spell_integer(scale)}")
@@ -389,7 +382,7 @@ def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strat
     """
     require_closed_form_regime(params.rho, params.mu)
     if start_a not in (0, 1):
-        raise InvalidStartLine(f"start line must be 0 or 1, got {start_a}")
+        raise InvalidStartLine(f"start line must be 0 or 1, got {spell_integer(start_a)}")
     scale, ca, cb = params.scale, params.cap_a, params.cap_b
     full = 2 * scale + 1
     if start_a not in _start_lines(ca, cb, 2 * scale):
@@ -443,8 +436,8 @@ def equilibrium_payoff_grid(
     """
     params = GameParams(scale, rho, mu, ca_max, cb_max)
     if params.cap_a * params.cap_b > MAX_CELLS:
-        raise OutOfRange(f"a {params.cap_a} x {params.cap_b} capability grid is "
-                         f"over the {MAX_CELLS}-cell limit")
+        raise OutOfRange(f"a {spell_integer(params.cap_a)} x {spell_integer(params.cap_b)} "
+                         f"capability grid is over the {MAX_CELLS}-cell limit")
     return _payoff_sets(params, range(1, params.cap_a + 1), range(1, params.cap_b + 1))
 
 

@@ -35,15 +35,21 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction, decimal: bool = False) -> str:
     """Render a Fraction as "p/q" (bare integer when q == 1), or decimal on
-    request; a decimal past float range raises ``OutOfRange``."""
-    if decimal:
-        try:
-            return repr(float(x))
-        except OverflowError:
-            raise OutOfRange("value too large to render as a decimal") from None
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    request; a decimal past float range, or a value with more digits than
+    str() converts, raises ``OutOfRange``."""
+    try:
+        return repr(float(x)) if decimal else str(x)
+    except (OverflowError, ValueError):
+        what = " as a decimal" if decimal else ""
+        raise OutOfRange(f"value too large to render{what}") from None
+
+
+def spell_integer(n: int) -> str:
+    """``n`` in decimal, or by its bit length past the digits str() converts."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
 
 
 def as_integer(value) -> int:

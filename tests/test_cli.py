@@ -259,6 +259,41 @@ def test_decimal_past_float_range_exits_1(capsys, tmp_path):
         assert code == 0
 
 
+def test_ctf_verify_refuses_a_board_past_brute_force(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "goldmines", "ctf", "--M", "4", "--rho", "1/2", "--mu", "-3/4",
+            "--ca-max", "2", "--cb-max", "2", "--verify",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ("capgames: scale 4 needs a 34359738368-byte payoff table, "
+                   "over the 1073741824-byte limit\n")
+    assert peak < 1 << 20
+    code, out, _ = run(
+        capsys, "goldmines", "ctf", "--M", "4", "--rho", "1/2", "--mu", "-3/4",
+        "--ca-max", "2", "--cb-max", "2",
+    )
+    assert code == 0 and out.splitlines()[0].split() == ["cap_a", "cap_b", "payoffs"]
+
+
+def test_values_past_the_digits_str_converts_exit_1(capsys, tmp_path):
+    # each payoff has 4,299 digits and prints; their sum, the welfare, has
+    # about 8,600 in its denominator
+    a, b = 10**4299 - 1, 10**4299 - 3
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "players": [{"actions": ["x"], "cutoffs": [1]}, {"actions": ["y"], "cutoffs": [1]}],
+        "payoffs": [[f"1/{a}", f"1/{b}"]]}))
+    code, out, err = run(capsys, "game", "capability-positive", str(path))
+    assert (code, out, err) == (1, "", "capgames: value too large to render\n")
+    code, out, _ = run(capsys, "game", "ctf", str(path))
+    assert code == 0 and f"1/{a}" in out
+
+
 def test_impossible_equilibrium_class_exits_1(capsys):
     code, _, err = run(
         capsys, "goldmines", "equilibrium", "--M", "1", "--rho", "1/2",
@@ -333,22 +368,23 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_table_byte_limit(capsys, monkeypatch):
-    # under a limit below the smallest table, M = 1 is past brute force
+    # under a limit below the smallest table, M = 1 is past brute force:
+    # ctf --verify refuses it as verify does, with the same line
     monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(1) - 1)
     oracle._table.cache_clear()  # a cached table predates the lowered limit
-    code, out, _ = run(
+    code, out, ctf_err = run(
         capsys, "goldmines", "ctf", "--M", "1", "--rho", "1/2", "--mu", "-3/4",
         "--ca-max", "1", "--cb-max", "1", "--verify",
     )
-    assert code == 0
-    assert "match" not in out.splitlines()[0]
+    assert (code, out) == (1, "")
+    assert str(oracle.table_bytes(1)) in ctf_err
 
     code, _, err = run(
         capsys, "goldmines", "verify", "--M", "1", "--rho", "1/2", "--mu", "-3/4",
         "--ca", "1", "--cb", "1",
     )
     assert code == 1
-    assert str(oracle.table_bytes(1)) in err
+    assert err == ctf_err
 
     code, _, err = run(
         capsys, "goldmines", "verify", "--M", "2000", "--rho", "1/2", "--mu", "-3/4",

@@ -15,7 +15,6 @@ from capgames.goldmines import GameParams
 from capgames.oracle import (
     PayoffTable,
     enumerate_pure_equilibria,
-    enumerate_strategies,
     verify_closed_form,
     verify_strict_ne_coverage,
 )
@@ -35,13 +34,19 @@ def gm(scale, ca, cb, rho=F(1, 2), mu=F(-3, 4)):
 
 
 class TestEnumeration:
+    """The strategy rows and segment counts every payoff table is built on."""
+
     def test_cap_at_board_size_yields_every_strategy(self):
-        assert enumerate_strategies(1, 4) == all_strategies(1)
-        assert len(enumerate_strategies(2, 8)) == 2**8
-        assert enumerate_strategies(3, 12) == all_strategies(3)
+        for scale in (1, 2, 3):
+            bits, segments = oracle._strategy_bits(scale)
+            assert [tuple(row) for row in bits.tolist()] == all_strategies(scale)
+            assert len(segments) == 2 ** (4 * scale)
+            assert segments.max() == 4 * scale
+        assert PayoffTable(1, F(1, 2), F(-3, 4)).strategies == all_strategies(1)
 
     def test_lexicographic_order(self):
-        out = enumerate_strategies(1, 2)
+        table = PayoffTable(1, F(1, 2), F(-3, 4))
+        out = [f for f, n in zip(table.strategies, table.segments) if n <= 2]
         assert out == sorted(out)
         assert out[0] == (0, 0, 0, 0)
 
@@ -49,29 +54,26 @@ class TestEnumeration:
     # one past the most segments a strategy can have
     @pytest.mark.parametrize("scale,top_cap", [(2, 8), (3, 13)])
     def test_strict_spaces_partition_the_loose_one(self, scale, top_cap):
+        bits, segments = oracle._strategy_bits(scale)
+        rows = [tuple(row) for row in bits.tolist()]
         every = [(f, segments_of(f)) for f in all_strategies(scale)]
         for cap in range(1, top_cap + 1):
-            loose = enumerate_strategies(scale, cap)
-            strict = enumerate_strategies(scale, cap, strict=True)
-            layered = [
-                f for c in range(1, cap + 1)
-                for f in enumerate_strategies(scale, c, strict=True)
-            ]
+            # the rows pure_equilibria takes for at-most and exact-count caps
+            loose = np.flatnonzero(segments <= cap).tolist()
+            strict = np.flatnonzero(segments == cap).tolist()
+            layered = [i for c in range(1, cap + 1) for i in np.flatnonzero(segments == c)]
             assert sorted(layered) == loose
-            assert all(segments_of(f) == cap for f in strict)
-            assert loose == [f for f, n in every if n <= cap]
-            assert strict == [f for f, n in every if n == cap]
+            assert [rows[i] for i in loose] == [f for f, n in every if n <= cap]
+            assert [rows[i] for i in strict] == [f for f, n in every if n == cap]
 
     def test_bounds(self, monkeypatch):
         with pytest.raises(ScaleLimitExceeded):
-            enumerate_strategies(4, 1)
+            oracle._strategy_bits(4)
         with pytest.raises(OutOfRange):
-            enumerate_strategies(1, 0)
-        with pytest.raises(OutOfRange):
-            enumerate_strategies(0, 1)
+            oracle._strategy_bits(0)
         monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(1) - 1)
         with pytest.raises(ScaleLimitExceeded, match=str(oracle.table_bytes(1))):
-            enumerate_strategies(1, 1)
+            oracle._strategy_bits(1)
 
 
 class TestPayoffTable:
@@ -102,7 +104,23 @@ class TestPayoffTable:
         assert oracle.table_bytes(3) == 134_217_728
         assert oracle.table_bytes(4) == 34_359_738_368
         assert oracle.table_bytes(3) <= oracle.MAX_TABLE_BYTES < oracle.table_bytes(4)
-        assert oracle.fits(3) and not oracle.fits(4)
+        assert oracle._strategy_bits(3)[0].shape == (2**12, 12)
+        with pytest.raises(ScaleLimitExceeded):
+            oracle._strategy_bits(4)
+
+    # a direct payoff one off for one player; the table must notice either
+    @pytest.mark.parametrize("player,reason", [(0, "disagrees"), (1, "asymmetry")])
+    def test_self_check_catches_a_wrong_entry(self, monkeypatch, player, reason):
+        direct = goldmines.payoff
+
+        def one_off(fa, fb, params):
+            pair = list(direct(fa, fb, params))
+            pair[player] += 1
+            return tuple(pair)
+
+        monkeypatch.setattr(goldmines, "payoff", one_off)
+        with pytest.raises(AssertionError, match=reason):
+            PayoffTable(1, F(1, 2), F(-3, 4))
 
     def test_refuses_a_table_over_the_byte_limit(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(2) - 1)
@@ -113,14 +131,12 @@ class TestPayoffTable:
         # 2**(8M + 3) bytes: at M = 2000 its digits pass the str() limit, at
         # M = 10**9 the integer alone would take a gigabyte
         for scale in (2000, 10**9):
-            assert not oracle.fits(scale)
             with pytest.raises(ScaleLimitExceeded, match=rf"2\*\*{8 * scale + 3}-byte"):
-                enumerate_strategies(scale, 1)
+                oracle._strategy_bits(scale)
         # past the digits str() converts, the scale is named by its bits
         huge = 10**5000
-        assert not oracle.fits(huge)
         with pytest.raises(ScaleLimitExceeded, match=f"scale <{huge.bit_length()}-bit integer>"):
-            enumerate_strategies(huge, 1)
+            oracle._strategy_bits(huge)
         with pytest.raises(ScaleLimitExceeded, match=f"scale <{huge.bit_length()}-bit integer>"):
             verify_closed_form(GameParams(huge, F(1, 2), F(-3, 4), 1, 1))
 

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from capgames.errors import OutOfRange
+from capgames import goldmines, oracle
+from capgames.errors import CapgamesError, OutOfRange
+from capgames.game import CapabilityGame, is_pure_ne
+from capgames.goldmines import GameParams
 from capgames.rationals import as_fraction, format_rational, parse_rational, scaled
 
 F = Fraction
@@ -39,6 +42,44 @@ def test_decimal_past_float_range_is_out_of_range(big):
     with pytest.raises(OutOfRange, match="too large to render as a decimal"):
         format_rational(big, decimal=True)
     assert format_rational(big) == str(big)
+
+
+def test_more_digits_than_str_converts_is_out_of_range():
+    # both denominators print; their sum's (about 8,600 digits) does not
+    x = F(1, 10**4299 - 1) + F(1, 10**4299 - 3)
+    with pytest.raises(OutOfRange, match="^value too large to render$"):
+        format_rational(x)
+
+
+H = 10**5000  # more digits than str() converts
+UNIT = CapabilityGame.from_matrices([[1]], [[1]])
+
+
+# each call's message has to name H
+HUGE_VALUE_CALLS = {
+    "GameParams-caps": lambda: GameParams(1, F(1, 2), F(-3, 4), H, 0),
+    "GameParams-scale": lambda: GameParams(-H, F(1, 2), F(-3, 4), 1, 1),
+    "require_board": lambda: goldmines.require_board(-H),
+    "resource_line": lambda: goldmines.resource_line(H, 1),
+    "resource_type": lambda: goldmines.resource_type(H, 1),
+    "aligned_coverage_counts": lambda: goldmines.aligned_coverage_counts(H, 0, 1),
+    "staircase-segments": lambda: goldmines.staircase(1, H, 1),
+    "staircase-start": lambda: goldmines.staircase(1, 1, H),
+    "pad_segments": lambda: goldmines.pad_segments((0,) * 8, H, 2),
+    "payoff_grid": lambda: goldmines.equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), H, 2),
+    "is_perfect_cover": lambda: goldmines.is_perfect_cover((1, 0, 0, 1), 0, H),
+    "build_equilibrium": lambda: goldmines.build_equilibrium(
+        GameParams(1, F(1, 4), F(-1, 2), 1, 1), H),
+    "PayoffTable": lambda: oracle.PayoffTable(-H, F(1, 2), F(-3, 4)),
+    "space_size": lambda: UNIT.space_size(0, H),
+    "is_pure_ne": lambda: is_pure_ne(UNIT, (1, 1), (H, 0)),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_VALUE_CALLS.values(), ids=HUGE_VALUE_CALLS.keys())
+def test_library_messages_spell_huge_integers(call):
+    with pytest.raises(CapgamesError, match=f"<{H.bit_length()}-bit integer>"):
+        call()
 
 
 def test_as_fraction_coercions():
