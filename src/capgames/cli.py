@@ -338,10 +338,6 @@ def main(argv=None) -> int:
     except HypothesisViolation as bad:
         print(f"capgames: parameter hypothesis violated: {bad}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as bad:
-        print(f"capgames: bad JSON at line {bad.lineno}, column {bad.colno}: "
-              f"{bad.msg}", file=sys.stderr)
-        return 1
     except (CapgamesError, OSError) as bad:
         print(f"capgames: {bad}", file=sys.stderr)
         return 1

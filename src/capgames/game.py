@@ -31,7 +31,7 @@ from .errors import (
     OutOfBounds,
     UnequalBounds,
 )
-from .rationals import as_fraction, as_integer, scaled, spell_integer
+from .rationals import as_fraction, as_integer, scaled, spell
 
 PayoffVector = tuple[Fraction, ...]
 Profile = tuple[int, ...]
@@ -68,8 +68,8 @@ class CapabilityGame:
             try:
                 chain = tuple(map(as_integer, chain))
             except TypeError:
-                raise HierarchyViolation(
-                    f"player {p + 1}: cutoffs must be integers, got {chain!r}") from None
+                raise HierarchyViolation(f"player {p + 1}: cutoffs must be integers, "
+                                         f"got {spell(chain, repr)}") from None
             cutoffs.append(chain)
             if len(chain) == 0 or chain[0] < 1:
                 raise HierarchyViolation(f"player {p + 1}: cutoffs must start at 1 or more")
@@ -78,7 +78,7 @@ class CapabilityGame:
             if chain[-1] != len(self.actions[p]):
                 raise HierarchyViolation(
                     f"player {p + 1}: top level must equal the full action list "
-                    f"({chain[-1]} != {len(self.actions[p])})")
+                    f"({spell(chain[-1])} != {len(self.actions[p])})")
         object.__setattr__(self, "cutoffs", tuple(cutoffs))
         counts = tuple(len(a) for a in self.actions)
         if len(self.payoffs) != prod(counts):
@@ -92,7 +92,7 @@ class CapabilityGame:
             if not isinstance(vec, Sequence) or isinstance(vec, (str, bytes)):
                 # a string would split into characters
                 raise IncompletePayoffs(
-                    f"payoff for {profile} must be a sequence, got {vec!r}")
+                    f"payoff for {profile} must be a sequence, got {spell(vec, repr)}")
             if len(vec) != self.n_players:
                 raise IncompletePayoffs(
                     f"payoff for {profile} has {len(vec)} entries, want {self.n_players}")
@@ -117,15 +117,13 @@ class CapabilityGame:
         try:
             player, level = as_integer(player), as_integer(level)
         except TypeError:
-            raise OutOfBounds(
-                f"player and capability must be integers, got {player!r}, {level!r}") from None
+            raise OutOfBounds("player and capability must be integers, "
+                              f"got {spell(player, repr)}, {spell(level, repr)}") from None
         if not 0 <= player < self.n_players:
-            raise OutOfBounds(
-                f"player {spell_integer(player)} outside 0..{self.n_players - 1}")
+            raise OutOfBounds(f"player {spell(player)} outside 0..{self.n_players - 1}")
         b = len(self.cutoffs[player])
         if not 1 <= level <= b:
-            raise OutOfBounds(
-                f"capability {spell_integer(level)} for player {player + 1} outside 1..{b}")
+            raise OutOfBounds(f"capability {spell(level)} for player {player + 1} outside 1..{b}")
         return self.cutoffs[player][level - 1]
 
     @classmethod
@@ -260,7 +258,7 @@ def _profile(values: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     try:
         ints = tuple(map(as_integer, values))
     except TypeError:
-        raise OutOfBounds(f"{what} must hold integers, got {values!r}") from None
+        raise OutOfBounds(f"{what} must hold integers, got {spell(values, repr)}") from None
     if len(ints) != n:
         raise OutOfBounds(f"{what} has {len(ints)} entries for {n} players")
     return ints
@@ -292,7 +290,7 @@ def is_pure_ne(
     s = _profile(profile, game.n_players, "profile")
     for p, a in enumerate(s):
         if not 0 <= a < sizes[p]:
-            raise OutOfBounds(f"action {spell_integer(a)} of player {p + 1} "
+            raise OutOfBounds(f"action {spell(a)} of player {p + 1} "
                               f"outside restricted space of size {sizes[p]}")
     return s in game._equilibria[capability][0]
 

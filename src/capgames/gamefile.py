@@ -50,11 +50,8 @@ def parse_game(obj) -> CapabilityGame:
                 f'player {p + 1} needs "actions" and "cutoffs"') from None
         if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
             raise GameFormatError(f"player {p + 1}: actions must be an array of strings")
-        if not isinstance(cuts, list) or not all(
-                isinstance(c, int) and not isinstance(c, bool) for c in cuts):
-            raise GameFormatError(f"player {p + 1}: cutoffs must be an array of integers")
         actions.append(tuple(acts))
-        cutoffs.append(tuple(cuts))
+        cutoffs.append(cuts)
 
     counts = [len(a) for a in actions]
     expected = prod(counts)
@@ -68,15 +65,17 @@ def parse_game(obj) -> CapabilityGame:
 
 
 def load_game(path: str | Path) -> CapabilityGame:
-    """Load a game description from a JSON file.
+    """Load a game description from a JSON file, read as UTF-8.
 
-    The file is read as UTF-8, the JSON encoding.  json.JSONDecodeError
-    (line and column) propagates for malformed JSON; other unreadable or
-    malformed files raise GameFormatError and friends.
+    A file that cannot be opened raises OSError; every other failure, to
+    decode it or in the game it holds, raises a CapgamesError.
     """
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, RecursionError) as bad:
+    except json.JSONDecodeError as bad:
+        raise GameFormatError(
+            f"bad JSON at line {bad.lineno}, column {bad.colno}: {bad.msg}") from None
+    except (ValueError, RecursionError) as bad:  # not UTF-8, too deep, an over-long integer
         raise GameFormatError(f"cannot read the game file: {bad}") from None
     return parse_game(obj)
 

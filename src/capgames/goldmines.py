@@ -46,7 +46,7 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from .rationals import as_fraction, as_integer, scaled, spell_integer
+from .rationals import as_fraction, as_integer, scaled, spell
 
 Strategy = tuple[int, ...]
 
@@ -82,21 +82,21 @@ class GameParams:
             try:
                 object.__setattr__(self, name, as_integer(value))
             except TypeError:
-                raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+                raise OutOfRange(f"{name} must be an integer, got {spell(value, repr)}") from None
         for name in ("rho", "mu"):
             try:
                 object.__setattr__(self, name, as_fraction(getattr(self, name)))
             except (TypeError, ValueError) as bad:
                 raise GameFormatError(f"{name}: {bad}") from None
         if self.scale < 1:
-            raise OutOfRange(f"scale must be at least 1, got {spell_integer(self.scale)}")
+            raise OutOfRange(f"scale must be at least 1, got {spell(self.scale)}")
         if not 0 < self.rho < 1:
-            raise HypothesisViolation(f"need 0 < rho < 1, got rho = {self.rho}")
+            raise HypothesisViolation(f"need 0 < rho < 1, got rho = {spell(self.rho)}")
         if self.mu >= 0:
-            raise HypothesisViolation(f"need mu < 0, got mu = {self.mu}")
+            raise HypothesisViolation(f"need mu < 0, got mu = {spell(self.mu)}")
         if self.cap_a < 1 or self.cap_b < 1:
             raise OutOfRange(f"capabilities must be at least 1, "
-                             f"got {spell_integer(self.cap_a)}, {spell_integer(self.cap_b)}")
+                             f"got {spell(self.cap_a)}, {spell(self.cap_b)}")
 
     @property
     def sites(self) -> int:
@@ -107,7 +107,7 @@ def require_closed_form_regime(rho: Fraction, mu: Fraction) -> None:
     """The closed form needs 0 < rho < -mu < 1; raise otherwise."""
     if not (0 < rho < -mu < 1):
         raise HypothesisViolation(
-            f"closed form needs 0 < rho < -mu < 1; got rho = {rho}, mu = {mu}")
+            f"closed form needs 0 < rho < -mu < 1; got rho = {spell(rho)}, mu = {spell(mu)}")
 
 
 # --- board geometry ---
@@ -115,23 +115,23 @@ def require_closed_form_regime(rho: Fraction, mu: Fraction) -> None:
 def require_board(scale: int) -> None:
     """Refuse a board below scale 1 or of more than ``MAX_CELLS`` sites."""
     if scale < 1:
-        raise OutOfRange(f"board scale must be a positive integer: {spell_integer(scale)}")
+        raise OutOfRange(f"board scale must be a positive integer: {spell(scale)}")
     if 4 * scale > MAX_CELLS:
-        raise OutOfRange(f"a board at M = {spell_integer(scale)} has 4*M sites, "
+        raise OutOfRange(f"a board at M = {spell(scale)} has 4*M sites, "
                          f"over the {MAX_CELLS}-site limit")
 
 
 def resource_line(i: int, scale: int) -> int:
     """Line (0 or 1) that site i sits on."""
     if not 0 <= i < 4 * scale:
-        raise OutOfRange(f"site {spell_integer(i)} outside 0..{spell_integer(4 * scale - 1)}")
+        raise OutOfRange(f"site {spell(i)} outside 0..{spell(4 * scale - 1)}")
     return (i + 1) % 2
 
 
 def resource_type(i: int, scale: int) -> str:
     """GOLD for i % 4 in {0, 1}, MINE otherwise."""
     if not 0 <= i < 4 * scale:
-        raise OutOfRange(f"site {spell_integer(i)} outside 0..{spell_integer(4 * scale - 1)}")
+        raise OutOfRange(f"site {spell(i)} outside 0..{spell(4 * scale - 1)}")
     return GOLD if i % 4 <= 1 else MINE
 
 
@@ -232,11 +232,11 @@ def aligned_coverage_counts(segments: int, start: int, scale: int) -> tuple[int,
     1 <= segments <= 2*scale + 1.
     """
     if start not in (0, 1):
-        raise OutOfRange(f"start bit must be 0 or 1, got {spell_integer(start)}")
+        raise OutOfRange(f"start bit must be 0 or 1, got {spell(start)}")
     if not 1 <= segments <= 2 * scale + 1:
         raise OutOfRange(
-            f"segments {spell_integer(segments)} outside 1..{spell_integer(2 * scale + 1)} "
-            f"at scale {spell_integer(scale)}")
+            f"segments {spell(segments)} outside 1..{spell(2 * scale + 1)} "
+            f"at scale {spell(scale)}")
     n_gold = scale + (segments + start - 1) // 2
     n_mine = scale - (segments - start) // 2
     return n_gold, n_mine
@@ -247,7 +247,7 @@ def is_perfect_cover(f: Sequence[int], lo: int, hi: int) -> bool:
     scale = _check_strategy(f)
     if not 0 <= lo <= hi < 4 * scale:
         raise OutOfRange(
-            f"window {spell_integer(lo)}..{spell_integer(hi)} outside 0..{4 * scale - 1}")
+            f"window {spell(lo)}..{spell(hi)} outside 0..{4 * scale - 1}")
     return all(covers(f, i) == (resource_type(i, scale) == GOLD)
                for i in range(lo, hi + 1))
 
@@ -271,10 +271,10 @@ def staircase(scale: int, segments: int, start: int) -> Strategy:
     """
     require_board(scale)
     if start not in (0, 1):
-        raise OutOfRange(f"start bit must be 0 or 1, got {spell_integer(start)}")
+        raise OutOfRange(f"start bit must be 0 or 1, got {spell(start)}")
     limit = 2 * scale + 1 if start == 1 else 2 * scale
     if not 1 <= segments <= limit:
-        raise OutOfRange(f"segments {spell_integer(segments)} outside 1..{limit} "
+        raise OutOfRange(f"segments {spell(segments)} outside 1..{limit} "
                          f"for start {start} at scale {scale}")
     # the flips follow sites first, first + 2, ...; site i is past
     # (i - first + 1) // 2 of them, up to all segments - 1
@@ -321,11 +321,11 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
     if scale < 2:
         raise PreconditionViolated("padding needs scale >= 2")
     if not 1 <= target <= 2 * scale - 1:
-        raise PreconditionViolated(f"target segments {spell_integer(target)} "
-                                   f"outside 1..{spell_integer(2 * scale - 1)}")
+        raise PreconditionViolated(f"target segments {spell(target)} "
+                                   f"outside 1..{spell(2 * scale - 1)}")
     if len(f_prime) != 4 * scale:
         raise PreconditionViolated(
-            f"strategy length {len(f_prime)} does not match scale {spell_integer(scale)}")
+            f"strategy length {len(f_prime)} does not match scale {spell(scale)}")
     if not is_aligned(f_prime):
         raise PreconditionViolated("input strategy must be aligned")
     count = segment_count(f_prime)
@@ -382,7 +382,7 @@ def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strat
     """
     require_closed_form_regime(params.rho, params.mu)
     if start_a not in (0, 1):
-        raise InvalidStartLine(f"start line must be 0 or 1, got {spell_integer(start_a)}")
+        raise InvalidStartLine(f"start line must be 0 or 1, got {spell(start_a)}")
     scale, ca, cb = params.scale, params.cap_a, params.cap_b
     full = 2 * scale + 1
     if start_a not in _start_lines(ca, cb, 2 * scale):
@@ -436,7 +436,7 @@ def equilibrium_payoff_grid(
     """
     params = GameParams(scale, rho, mu, ca_max, cb_max)
     if params.cap_a * params.cap_b > MAX_CELLS:
-        raise OutOfRange(f"a {spell_integer(params.cap_a)} x {spell_integer(params.cap_b)} "
+        raise OutOfRange(f"a {spell(params.cap_a)} x {spell(params.cap_b)} "
                          f"capability grid is over the {MAX_CELLS}-cell limit")
     return _payoff_sets(params, range(1, params.cap_a + 1), range(1, params.cap_b + 1))
 

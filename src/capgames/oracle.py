@@ -32,7 +32,7 @@ from . import goldmines
 from .errors import OutOfRange, ScaleLimitExceeded
 from .game import _payoff_dtype, ne_cells
 from .goldmines import GameParams, Strategy
-from .rationals import scaled, spell_integer
+from .rationals import scaled, spell
 
 # largest payoff table the oracle may allocate, counted at int64 width:
 # M=3 needs 134 MB, M=4 34 GB; the one limit on exhaustive enumeration
@@ -52,16 +52,16 @@ def _strategy_bits(scale: int) -> tuple[np.ndarray, np.ndarray]:
     before anything is allocated: this is the one place that decides
     whether brute force can check a board."""
     if scale < 1:
-        raise OutOfRange(f"scale must be at least 1, got {spell_integer(scale)}")
+        raise OutOfRange(f"scale must be at least 1, got {spell(scale)}")
     # table_bytes(scale) is 2**(8*scale + 3): comparing exponents refuses a
     # huge scale without building a huge integer
     if 8 * scale + 3 >= MAX_TABLE_BYTES.bit_length():
         # past M = 100 the estimate runs to hundreds of digits (and past
         # M = 1,790 to more than str() converts), so give it as a power;
         # a scale with more digits than that is named by its bits
-        size = table_bytes(scale) if scale <= 100 else f"2**{spell_integer(8 * scale + 3)}"
+        size = table_bytes(scale) if scale <= 100 else f"2**{spell(8 * scale + 3)}"
         raise ScaleLimitExceeded(
-            f"scale {spell_integer(scale)} needs a {size}-byte payoff table, "
+            f"scale {spell(scale)} needs a {size}-byte payoff table, "
             f"over the {MAX_TABLE_BYTES}-byte limit")
     sites = 4 * scale
     # row i holds the binary digits of i, most significant first

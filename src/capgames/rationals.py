@@ -25,12 +25,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal (use p/q or an integer): {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(x: Fraction, decimal: bool = False) -> str:
@@ -44,12 +42,21 @@ def format_rational(x: Fraction, decimal: bool = False) -> str:
         raise OutOfRange(f"value too large to render{what}") from None
 
 
-def spell_integer(n: int) -> str:
-    """``n`` in decimal, or by its bit length past the digits str() converts."""
+def spell(value, conv=str) -> str:
+    """``conv(value)``; past the digits str() converts, an integer by its bit
+    length, also in a Fraction, tuple or list, and anything else by its type."""
     try:
-        return str(n)
+        return conv(value)
     except ValueError:
-        return f"<{n.bit_length()}-bit integer>"
+        if isinstance(value, int):
+            return f"<{value.bit_length()}-bit integer>"
+        if isinstance(value, Fraction):
+            den = "" if value.denominator == 1 else f"/{spell(value.denominator)}"
+            return spell(value.numerator) + den
+        if isinstance(value, (tuple, list)):
+            inner = ", ".join(spell(v, conv) for v in value)
+            return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+        return f"<{type(value).__name__}>"
 
 
 def as_integer(value) -> int:

@@ -472,11 +472,18 @@ def test_game_file_errors_exit_1(capsys, tmp_path):
 
 
 def test_unreadable_game_files_exit_1(capsys, tmp_path):
-    # a UTF-16 byte order mark is no UTF-8, and 100,000 open brackets nest
-    # past Python's recursion limit; each gives one line and no traceback
+    # a UTF-16 byte order mark is no UTF-8, 100,000 open brackets nest past
+    # Python's recursion limit, and an integer of 5,000 digits is more than
+    # int() converts, in a payoff or a cutoff; each gives one line and no
+    # traceback
+    huge = b"9" * 5000
     cases = {
         b"\xff\xfe{\x00}\x00": "'utf-8' codec can't decode byte 0xff in position 0",
         b"[" * 100_000: "recursion",
+        b'{"players": [{"actions": ["a"], "cutoffs": [1]}], "payoffs": [[' + huge + b"]]}":
+            "Exceeds the limit",
+        b'{"players": [{"actions": ["a"], "cutoffs": [' + huge + b']}], "payoffs": [[1]]}':
+            "Exceeds the limit",
     }
     path = tmp_path / "unreadable.json"
     for data, reason in cases.items():

@@ -1,11 +1,19 @@
 import json
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from capgames import game_to_json, load_game, parse_game
-from capgames.errors import GameFormatError, HierarchyViolation, IncompletePayoffs
+from capgames import CapabilityGame, game_to_json, load_game, parse_game
+from capgames.errors import (
+    CapgamesError,
+    GameFormatError,
+    HierarchyViolation,
+    IncompletePayoffs,
+)
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -66,7 +74,7 @@ def test_round_trip_keeps_fractions_as_strings():
         (lambda d: {**d, "players": [{"actions": [1, 2], "cutoffs": [2]},
                                      d["players"][1]]}, GameFormatError),
         (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": [True, 2]},
-                                     d["players"][1]]}, GameFormatError),
+                                     d["players"][1]]}, HierarchyViolation),
         (lambda d: {**d, "payoffs": d["payoffs"][:3]}, IncompletePayoffs),
         (lambda d: {**d, "payoffs": "nope"}, IncompletePayoffs),
         (lambda d: {**d, "payoffs": [[1, 2, 3]] + d["payoffs"][1:]},
@@ -90,7 +98,14 @@ def test_round_trip_keeps_fractions_as_strings():
         (lambda d: {**d, "players": [{"actions": 5, "cutoffs": [2]},
                                      d["players"][1]]}, GameFormatError),
         (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": 1},
-                                     d["players"][1]]}, GameFormatError),
+                                     d["players"][1]]}, HierarchyViolation),
+        # CapabilityGame refuses every cutoff chain that is no array of integers
+        (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": "12"},
+                                     d["players"][1]]}, HierarchyViolation),
+        (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": None},
+                                     d["players"][1]]}, HierarchyViolation),
+        (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": [1.0, 2]},
+                                     d["players"][1]]}, HierarchyViolation),
         (lambda d: {**d, "players": [{"actions": "ab", "cutoffs": [1, 2]},
                                      d["players"][1]]}, GameFormatError),
     ],
@@ -103,11 +118,65 @@ def test_malformed_documents_raise_specific_errors(mangle, error):
 def test_load_propagates_json_position_info(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"players": [,]}')
-    with pytest.raises(json.JSONDecodeError) as info:
+    with pytest.raises(GameFormatError, match="line 1, column"):
         load_game(bad)
-    assert info.value.lineno == 1
 
 
 def test_load_missing_file_is_an_oserror(tmp_path):
     with pytest.raises(OSError):
         load_game(tmp_path / "absent.json")
+
+
+# JSON text, built by hand: json.dumps cannot write an integer of more digits
+# than str() converts, and the reader has to meet those too
+_LEAVES = st.one_of(
+    st.none().map(json.dumps), st.booleans().map(json.dumps),
+    st.integers().map(json.dumps), st.floats().map(json.dumps),
+    st.text(max_size=4).map(json.dumps),
+    st.sampled_from(["1/2", "-3/4", "1/0", "0.5"]).map(json.dumps),
+    st.integers(4301, 4400).map(lambda digits: "7" * digits),
+)
+
+
+def _array(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def _object(fields):
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
+
+
+_JSON = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4).map(_array),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4).map(_object)), max_leaves=12)
+_ENTRIES = st.one_of(st.integers(-9, 9).map(json.dumps),
+                     st.sampled_from(["1/2", "-3/4"]).map(json.dumps))
+
+
+@st.composite
+def _game_documents(draw):
+    """A valid game's JSON text, but for a field or two that holds any JSON
+    value instead, so that most documents reach CapabilityGame."""
+    def field(valid: str) -> str:
+        return draw(_JSON) if draw(st.sampled_from([False] * 7 + [True])) else valid
+
+    counts = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    players = [_object({"actions": field(json.dumps(["a", "b"][:k])),
+                        "cutoffs": field(json.dumps(draw(st.sampled_from([[k], [1, k]]))))})
+               for k in counts]
+    payoffs = [field(_array([field(draw(_ENTRIES)) for _ in counts]))
+               for _ in range(prod(counts))]
+    return _object({"players": field(_array(players)), "payoffs": field(_array(payoffs))})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(), _JSON.map(str.encode), _game_documents().map(str.encode)))
+def test_any_file_loads_as_a_game_or_raises_a_capgames_error(tmp_path, data):
+    path = tmp_path / "game.json"
+    path.write_bytes(data)
+    try:
+        game = load_game(path)
+    except CapgamesError:
+        return
+    assert isinstance(game, CapabilityGame)

@@ -4,7 +4,7 @@ import pytest
 
 from capgames import goldmines, oracle
 from capgames.errors import CapgamesError, OutOfRange
-from capgames.game import CapabilityGame, is_pure_ne
+from capgames.game import CapabilityGame, ctf_pure, is_pure_ne
 from capgames.goldmines import GameParams
 from capgames.rationals import as_fraction, format_rational, parse_rational, scaled
 
@@ -73,6 +73,17 @@ HUGE_VALUE_CALLS = {
     "PayoffTable": lambda: oracle.PayoffTable(-H, F(1, 2), F(-3, 4)),
     "space_size": lambda: UNIT.space_size(0, H),
     "is_pure_ne": lambda: is_pure_ne(UNIT, (1, 1), (H, 0)),
+    # Fractions, and values spelled with repr, name H as well
+    "GameParams-fraction-scale": lambda: GameParams(F(H, 3), F(1, 2), F(-3, 4), 1, 1),
+    "GameParams-rho": lambda: GameParams(1, F(H, 1), F(-3, 4), 1, 1),
+    "GameParams-mu": lambda: GameParams(1, F(1, 2), F(H, 3), 1, 1),
+    "require_closed_form_regime": lambda: goldmines.require_closed_form_regime(
+        F(1, 2), F(-1, H)),
+    "cutoff-chain": lambda: CapabilityGame((("a",),), ((F(H, 3),),), {(0,): (1,)}),
+    "top-cutoff": lambda: CapabilityGame((("a",),), ((H,),), {(0,): (1,)}),
+    "payoff-vector": lambda: CapabilityGame((("a",),), ((1,),), {(0,): H}),
+    "space_size-fraction": lambda: UNIT.space_size(0, F(H, 3)),
+    "ctf_pure": lambda: ctf_pure(UNIT, (F(H, 3), 1)),
 }
 
 
