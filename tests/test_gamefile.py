@@ -73,8 +73,8 @@ def test_round_trip_keeps_fractions_as_strings():
          GameFormatError),  # missing cutoffs
         (lambda d: {**d, "players": [{"actions": [1, 2], "cutoffs": [2]},
                                      d["players"][1]]}, GameFormatError),
-        (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": [True, 2]},
-                                     d["players"][1]]}, HierarchyViolation),
+        (lambda d: {**d, "players": [5, d["players"][1]]},
+         GameFormatError),  # a player entry that is no object
         (lambda d: {**d, "payoffs": d["payoffs"][:3]}, IncompletePayoffs),
         (lambda d: {**d, "payoffs": "nope"}, IncompletePayoffs),
         (lambda d: {**d, "payoffs": [[1, 2, 3]] + d["payoffs"][1:]},
@@ -97,15 +97,8 @@ def test_round_trip_keeps_fractions_as_strings():
         # string would split into one action per character
         (lambda d: {**d, "players": [{"actions": 5, "cutoffs": [2]},
                                      d["players"][1]]}, GameFormatError),
-        (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": 1},
-                                     d["players"][1]]}, HierarchyViolation),
-        # CapabilityGame refuses every cutoff chain that is no array of integers
-        (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": "12"},
-                                     d["players"][1]]}, HierarchyViolation),
-        (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": None},
-                                     d["players"][1]]}, HierarchyViolation),
-        (lambda d: {**d, "players": [{"actions": ["a", "b"], "cutoffs": [1.0, 2]},
-                                     d["players"][1]]}, HierarchyViolation),
+        (lambda d: {**d, "payoffs": [["1/0", 2]] + d["payoffs"][1:]},
+         GameFormatError),  # zero denominator
         (lambda d: {**d, "players": [{"actions": "ab", "cutoffs": [1, 2]},
                                      d["players"][1]]}, GameFormatError),
     ],
@@ -113,6 +106,15 @@ def test_round_trip_keeps_fractions_as_strings():
 def test_malformed_documents_raise_specific_errors(mangle, error):
     with pytest.raises(error):
         parse_game(mangle(dict(GOOD)))
+
+
+# CapabilityGame refuses every cutoff chain that is no array of integers
+@pytest.mark.parametrize("cutoffs", [[True, 2], 1, "12", None, [1.0, 2]])
+def test_cutoff_chains_that_are_no_integer_arrays_raise_hierarchy_violation(cutoffs):
+    doc = {**GOOD, "players": [{"actions": ["a", "b"], "cutoffs": cutoffs},
+                               GOOD["players"][1]]}
+    with pytest.raises(HierarchyViolation):
+        parse_game(doc)
 
 
 def test_load_propagates_json_position_info(tmp_path):
