@@ -11,8 +11,6 @@ from .bimatrix import (
     MixedCtf,
     MixedEquilibrium,
     ctf_mixed,
-    expected_payoff,
-    is_mixed_ne,
     restrict_to_bimatrix,
     support_enumeration,
 )
@@ -25,13 +23,12 @@ from .game import (
     is_capability_positive,
     is_pure_ne,
 )
-from .gamefile import game_to_json, load_game, parse_game
+from .gamefile import load_game, parse_game
 from .goldmines import (
     CoverageSummary,
     GameParams,
     build_complement_cover,
     build_equilibrium,
-    equal_capability_welfare,
     equilibrium_payoff_grid,
     equilibrium_payoffs,
     pad_segments,
@@ -40,12 +37,7 @@ from .goldmines import (
     staircase,
     summarize,
 )
-from .oracle import (
-    VerificationReport,
-    enumerate_pure_equilibria,
-    verify_closed_form,
-    verify_strict_ne_coverage,
-)
+from .oracle import VerificationReport, verify_closed_form
 
 __version__ = "0.1.0"
 
@@ -62,16 +54,11 @@ __all__ = [
     "build_equilibrium",
     "ctf_mixed",
     "ctf_pure",
-    "enumerate_pure_equilibria",
     "enumerate_pure_ne",
-    "equal_capability_welfare",
     "equilibrium_payoff_grid",
     "equilibrium_payoffs",
     "equilibrium_welfare_levels",
-    "expected_payoff",
-    "game_to_json",
     "is_capability_positive",
-    "is_mixed_ne",
     "is_pure_ne",
     "load_game",
     "pad_segments",
@@ -83,5 +70,4 @@ __all__ = [
     "summarize",
     "support_enumeration",
     "verify_closed_form",
-    "verify_strict_ne_coverage",
 ]

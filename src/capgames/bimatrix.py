@@ -66,38 +66,6 @@ class MixedEquilibrium:
     degenerate: bool
 
 
-def _check_distribution(p: Sequence[Fraction], size: int, label: str) -> None:
-    if len(p) != size:
-        raise DimensionMismatch(f"{label} has {len(p)} entries, want {size}")
-    if any(v < 0 for v in p) or sum(p) != 1:
-        raise DimensionMismatch(f"{label} is not a probability vector")
-
-
-def expected_payoff(
-    game: Bimatrix, x: Sequence[Fraction], y: Sequence[Fraction]
-) -> tuple[Fraction, Fraction]:
-    """Exact expected payoffs x'Ay and x'By."""
-    m, k = game.shape
-    _check_distribution(x, m, "row strategy")
-    _check_distribution(y, k, "column strategy")
-    va = sum(x[i] * game.a[i][j] * y[j] for i in range(m) for j in range(k))
-    vb = sum(x[i] * game.b[i][j] * y[j] for i in range(m) for j in range(k))
-    return Fraction(va), Fraction(vb)
-
-
-def is_mixed_ne(game: Bimatrix, x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
-    """Equilibrium test via pure deviations, which suffice by linearity."""
-    m, k = game.shape
-    va, vb = expected_payoff(game, x, y)
-    for i in range(m):
-        if sum(game.a[i][j] * y[j] for j in range(k)) > va:
-            return False
-    for j in range(k):
-        if sum(x[i] * game.b[i][j] for i in range(m)) > vb:
-            return False
-    return True
-
-
 def _solve(rows: list[list[int]], nvars: int):
     """Gauss-Jordan over the integers on an augmented matrix.
 
@@ -190,8 +158,8 @@ def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
         for rows in combinations(range(m), size):
             for cols in combinations(range(k), size):
                 # the indifference equations make x'Ay = u and x'By = v, so
-                # the two reply checks together are is_mixed_ne; y comes
-                # first, so x is solved for fewer pairs
+                # the two reply checks together are the equilibrium test; y
+                # comes first, so x is solved for fewer pairs
                 y_reply = _reply(a_rows, rows, cols)
                 x_reply = _reply(b_cols, cols, rows) if y_reply else None
                 if x_reply is None:

@@ -86,9 +86,9 @@ class CapabilityGame:
                 f"{len(self.payoffs)} payoff entries for {prod(counts)} profiles")
         payoffs = {}
         for profile in product(*(range(k) for k in counts)):
-            vec = self.payoffs.get(profile)
-            if vec is None:
+            if profile not in self.payoffs:
                 raise IncompletePayoffs(f"missing payoff for profile {profile}")
+            vec = self.payoffs[profile]
             if not isinstance(vec, Sequence) or isinstance(vec, (str, bytes)):
                 # a string would split into characters
                 raise IncompletePayoffs(
@@ -135,8 +135,12 @@ class CapabilityGame:
         cutoffs2: Iterable[int] | None = None,
     ) -> "CapabilityGame":
         """Build a two-player game from payoff matrices (rows = player 1)."""
-        rows, cols = len(u1), len(u1[0]) if u1 else 0
-        if len(u2) != rows or any(len(row) != cols for row in (*u1, *u2)):
+        try:
+            rows, cols = len(u1), len(u1[0]) if u1 else 0
+            ragged = len(u2) != rows or any(len(row) != cols for row in (*u1, *u2))
+        except TypeError:  # a matrix or a row that is no sequence
+            ragged = True
+        if ragged:
             raise DimensionMismatch("the two payoff matrices must share one rectangular shape")
         pay = {(i, j): (u1[i][j], u2[i][j]) for i in range(rows) for j in range(cols)}
         c1 = tuple(cutoffs1) if cutoffs1 is not None else (rows,)
@@ -187,8 +191,8 @@ def ne_cells(
     of player p whose space holds action a, and level L's space is every
     action at level L or below.  The levels must be gap-free: every level
     from 1 to ``max(levels[p])`` holds at least one action of player p, as
-    in a cutoff chain, the oracle's segment counts, or a single level.  The
-    spaces are nested, so s is an equilibrium at capability c exactly when
+    in a cutoff chain or the oracle's segment counts.  The spaces are
+    nested, so s is an equilibrium at capability c exactly when
     ``lo[p] <= c_p <= hi[p]`` for every player p: ``lo[p]`` is s_p's level
     and ``hi[p]`` the number of levels whose best reply to s_-p is no better
     than s_p.  The pass finds every profile that is an equilibrium somewhere

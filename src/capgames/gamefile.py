@@ -1,4 +1,4 @@
-"""Reading and writing capability games as JSON.
+"""Reading capability games from JSON.
 
 Format::
 
@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .errors import GameFormatError, IncompletePayoffs
 from .game import CapabilityGame
-from .rationals import format_rational
 
 
 def parse_game(obj) -> CapabilityGame:
@@ -79,17 +78,3 @@ def load_game(path: str | Path) -> CapabilityGame:
         raise GameFormatError(f"cannot read the game file: {bad}") from None
     return parse_game(obj)
 
-
-def game_to_json(game: CapabilityGame) -> dict:
-    """Inverse of parse_game, producing plain JSON-serializable data."""
-    flat = [
-        [format_rational(v) if v.denominator != 1 else v.numerator for v in vec]
-        for vec in game.payoffs.values()
-    ]
-    return {
-        "players": [
-            {"actions": list(a), "cutoffs": list(c)}
-            for a, c in zip(game.actions, game.cutoffs)
-        ],
-        "payoffs": flat,
-    }

@@ -11,10 +11,10 @@ each player covering it.  That site rule is stated once, in ``resource_line``,
 payoff table read it from them.
 
 A strategy's cost is its number of maximal constant runs ("segments"); each
-player may only use strategies with at most (or, in strict spaces, exactly)
-their capability's worth of segments.  Under ``0 < rho < -mu < 1`` the pure
-equilibria of the capability-restricted game have payoffs given by a closed
-form, implemented here next to the constructions that realize them.
+player may only use strategies with at most their capability's worth of
+segments.  Under ``0 < rho < -mu < 1`` the pure equilibria of the
+capability-restricted game have payoffs given by a closed form, implemented
+here next to the constructions that realize them.
 
 The closed form is one integer pass: with rho and mu over their common
 denominator, each class payoff is an integer term in one capability plus one
@@ -156,29 +156,18 @@ def segment_count(f: Sequence[int]) -> int:
     return 1 + sum(1 for a, b in zip(f, f[1:]) if a != b)
 
 
-def parse_strategy(text: str) -> Strategy:
-    cleaned = "".join(text.split())
-    if not all(ch in "01" for ch in cleaned):
-        raise NonConformingInput(f"strategy text must be 0/1 characters: {text!r}")
-    f = tuple(int(ch) for ch in cleaned)
-    _check_strategy(f)
-    return f
-
-
 def format_strategy(f: Sequence[int]) -> str:
     return "".join(str(b) for b in f)
 
 
 @dataclass(frozen=True)
 class CoverageSummary:
-    """What a single strategy covers, and where its line flips sit."""
+    """What a single strategy covers, and its number of segments."""
 
     gold_sites: frozenset[int]
     mine_sites: frozenset[int]
     n_gold: int
     n_mine: int
-    up_flips: frozenset[int]    # i with f[i] = 0, f[i+1] = 1
-    down_flips: frozenset[int]  # i with f[i] = 1, f[i+1] = 0
     segments: int
 
 
@@ -187,10 +176,7 @@ def summarize(f: Sequence[int]) -> CoverageSummary:
     covered = frozenset(i for i in range(len(f)) if covers(f, i))
     gold = frozenset(i for i in covered if resource_type(i, scale) == GOLD)
     mine = covered - gold
-    up = frozenset(i for i in range(len(f) - 1) if f[i] == 0 and f[i + 1] == 1)
-    down = frozenset(i for i in range(len(f) - 1) if f[i] == 1 and f[i + 1] == 0)
-    return CoverageSummary(gold, mine, len(gold), len(mine), up, down,
-                           len(up) + len(down) + 1)
+    return CoverageSummary(gold, mine, len(gold), len(mine), segment_count(f))
 
 
 def payoff(fa: Sequence[int], fb: Sequence[int], params: GameParams) -> tuple[Fraction, Fraction]:
@@ -250,14 +236,6 @@ def is_perfect_cover(f: Sequence[int], lo: int, hi: int) -> bool:
             f"window {spell(lo)}..{spell(hi)} outside 0..{4 * scale - 1}")
     return all(covers(f, i) == (resource_type(i, scale) == GOLD)
                for i in range(lo, hi + 1))
-
-
-def is_complete_gold_coverage(fa: Sequence[int], fb: Sequence[int]) -> bool:
-    """Do the two strategies jointly cover all 2*scale gold sites?"""
-    if len(fa) != len(fb):
-        raise LengthMismatch(f"strategy lengths differ: {len(fa)} vs {len(fb)}")
-    golds = summarize(fa).gold_sites | summarize(fb).gold_sites
-    return len(golds) == len(fa) // 2
 
 
 def staircase(scale: int, segments: int, start: int) -> Strategy:
@@ -401,11 +379,6 @@ def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strat
     return (f, g) if a_low else (g, f)
 
 
-def admissible_start_lines(params: GameParams) -> tuple[int, ...]:
-    """Equilibrium classes that exist for these capabilities."""
-    return _start_lines(params.cap_a, params.cap_b, 2 * params.scale)
-
-
 def _start_lines(cap_a: int, cap_b: int, top: int) -> tuple[int, ...]:
     if (cap_a <= top) == (cap_b <= top):
         # both restricted: two classes; both unrestricted: one equilibrium,
@@ -473,15 +446,3 @@ def _payoff_sets(
     numerators = {n for cell in cells for pair in cell for n in pair}
     exact = {n: Fraction(n, den) for n in numerators}
     return [frozenset([(exact[ua], exact[ub]) for ua, ub in cell]) for cell in cells]
-
-
-def equal_capability_welfare(scale: int, rho: Fraction, mu: Fraction, cap: int) -> Fraction:
-    """Total welfare at any equilibrium when both capabilities equal ``cap``.
-
-    The slope per useful segment is 2*rho - mu - 1, so welfare falls as
-    shared capability grows exactly when rho < (1 + mu) / 2.
-    """
-    p = GameParams(scale, rho, mu, cap, cap)
-    require_closed_form_regime(p.rho, p.mu)
-    effective = min(p.cap_a, 2 * p.scale + 1)
-    return (2 * p.rho - p.mu - 1) * (effective - 1) + 2 * (p.mu + 1) * p.scale

@@ -14,9 +14,7 @@ table checks a sample of its own entries against goldmines.payoff at build
 time.  The "at most L segments" spaces are nested, so the table is a
 two-player capability game whose levels are segment counts, and the generic
 engine's one pass (``game.ne_cells``) maps every capability cell to its
-equilibria; each cell is then a lookup into that map.  Exact-count spaces
-are not nested: each exact-count cell is its own one-level game, a sub-table
-handed to the same ``ne_cells``.
+equilibria; each cell is then a lookup into that map.
 """
 
 from __future__ import annotations
@@ -139,40 +137,18 @@ class PayoffTable:
         their strategies' segment counts.  Computed on first use."""
         return ne_cells((self.ua, self.ua.T), (self.segments, self.segments))
 
-    def pure_equilibria(self, cap_a: int, cap_b: int, strict: bool) -> list[tuple[int, int]]:
+    def pure_equilibria(self, cap_a: int, cap_b: int) -> list[tuple[int, int]]:
         """Index pairs where neither player can improve inside their space,
         in lexicographic order."""
-        if not strict:
-            # caps past the most segments clamp to it; caps below 1 have no cell
-            top = int(self.segments.max())
-            return list(self._cells.get((min(cap_a, top), min(cap_b, top)), ()))
-        # exact-count spaces are not nested: each cell is a game of its own
-        # with one level per player, and caps past the top hold no strategy
-        rows = np.flatnonzero(self.segments == cap_a)
-        cols = np.flatnonzero(self.segments == cap_b)
-        if rows.size == 0 or cols.size == 0:
-            return []
-        sub = (self.ua[np.ix_(rows, cols)], self.ua[np.ix_(cols, rows)].T)
-        found = ne_cells(sub, (np.ones_like(rows), np.ones_like(cols)))[1, 1]
-        return [(int(rows[i]), int(cols[j])) for i, j in found]
+        # caps past the most segments clamp to it; caps below 1 have no cell
+        top = int(self.segments.max())
+        return list(self._cells.get((min(cap_a, top), min(cap_b, top)), ()))
 
 
 # one table at a time: at M=3 each holds at least 32 MB
 @lru_cache(maxsize=1)
 def _table(scale: int, rho: Fraction, mu: Fraction) -> PayoffTable:
     return PayoffTable(scale, rho, mu)
-
-
-def enumerate_pure_equilibria(
-    params: GameParams, strict: bool = False
-) -> list[tuple[Strategy, Strategy]]:
-    """Every pure equilibrium of the capability-restricted game, found by
-    exhaustive deviation sweep, in lexicographic profile order."""
-    table = _table(params.scale, params.rho, params.mu)
-    return [
-        (table.strategies[a], table.strategies[b])
-        for a, b in table.pure_equilibria(params.cap_a, params.cap_b, strict)
-    ]
 
 
 @dataclass(frozen=True)
@@ -192,7 +168,7 @@ def verify_closed_form(params: GameParams) -> VerificationReport:
     goldmines.require_closed_form_regime(params.rho, params.mu)
     table = _table(params.scale, params.rho, params.mu)
     predicted = goldmines.equilibrium_payoffs(params)
-    pairs = table.pure_equilibria(params.cap_a, params.cap_b, strict=False)
+    pairs = table.pure_equilibria(params.cap_a, params.cap_b)
     observed = set()
     counterexamples = []
     for a, b in pairs:
@@ -210,14 +186,3 @@ def verify_closed_form(params: GameParams) -> VerificationReport:
         counterexamples=tuple(counterexamples),
     )
 
-
-def verify_strict_ne_coverage(params: GameParams) -> bool:
-    """Do all pure equilibria over exact-segment spaces jointly cover every gold?
-
-    Expected to hold whenever 0 < rho < -mu < 1; the check runs regardless
-    and simply reports what it finds.
-    """
-    for fa, fb in enumerate_pure_equilibria(params, strict=True):
-        if not goldmines.is_complete_gold_coverage(fa, fb):
-            return False
-    return True

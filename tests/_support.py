@@ -2,7 +2,8 @@
 
 These deliberately recompute things from first principles (the covers-rule,
 raw deviation sweeps) rather than calling the code paths under test, so a
-bug in the library cannot hide behind itself.
+bug in the library cannot hide behind itself.  The last section is the
+exception: helpers that only tests use, which may call the library.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ def coverage_by_rule(f):
     gold = {i for i in covered if i % 4 <= 1}
     mine = {i for i in covered if i % 4 >= 2}
     return gold, mine
-
-
-def flips_by_scan(f):
-    """(upward flips, downward flips) by pairwise scan."""
-    up = {i for i in range(len(f) - 1) if (f[i], f[i + 1]) == (0, 1)}
-    down = {i for i in range(len(f) - 1) if (f[i], f[i + 1]) == (1, 0)}
-    return up, down
 
 
 def random_aligned(rng: random.Random, scale: int, flip_prob: float = 0.5):
@@ -215,12 +209,16 @@ def pure_equilibria_by_levels(utilities, levels, capability):
     return found
 
 
-def pure_equilibria_by_cell(table, cap_a, cap_b):
+def pure_equilibria_by_cell(table, cap_a, cap_b, exact=False):
     """Index pairs of every pure equilibrium of an ``oracle.PayoffTable`` with
-    at most ``cap_a`` / ``cap_b`` segments, by masking the table down to the
-    two spaces and comparing each entry with its column's best reply."""
-    rows = np.flatnonzero(table.segments <= cap_a)
-    cols = np.flatnonzero(table.segments <= cap_b)
+    at most (with ``exact``, exactly) ``cap_a`` / ``cap_b`` segments, by
+    masking the table down to the two spaces and comparing each entry with
+    its column's best reply.  An empty space has no equilibrium."""
+    within = np.equal if exact else np.less_equal
+    rows = np.flatnonzero(within(table.segments, cap_a))
+    cols = np.flatnonzero(within(table.segments, cap_b))
+    if rows.size == 0 or cols.size == 0:
+        return []
     ua = table.ua[np.ix_(rows, cols)]
     ub_t = table.ua[np.ix_(cols, rows)]  # ub_t[j, i] = payoff to B at (rows[i], cols[j])
     best_a = ua == ua.max(axis=0, keepdims=True)
@@ -287,3 +285,119 @@ def support_enumeration_over_fractions(a, b):
             prev = found.get((x, y))
             found[(x, y)] = (x, y, (va, vb), degenerate or (prev is not None and prev[3]))
     return list(found.values())
+
+
+# --- helpers that left the library ---
+# Tests use these as conveniences and references; no library path needs
+# them.  Unlike everything above, they may call the library: for its input
+# checks, its payoff table and its class rule.
+
+from capgames import goldmines, oracle
+from capgames.errors import DimensionMismatch, LengthMismatch, NonConformingInput
+from capgames.goldmines import GameParams, require_closed_form_regime
+from capgames.rationals import format_rational
+
+
+def parse_strategy(text):
+    """A strategy from its 0/1 text; whitespace is ignored."""
+    cleaned = "".join(text.split())
+    if not all(ch in "01" for ch in cleaned):
+        raise NonConformingInput(f"strategy text must be 0/1 characters: {text!r}")
+    f = tuple(int(ch) for ch in cleaned)
+    goldmines._check_strategy(f)
+    return f
+
+
+def is_complete_gold_coverage(fa, fb):
+    """Do the two strategies jointly cover all 2*scale gold sites?"""
+    if len(fa) != len(fb):
+        raise LengthMismatch(f"strategy lengths differ: {len(fa)} vs {len(fb)}")
+    for f in (fa, fb):
+        goldmines._check_strategy(f)
+    return len(coverage_by_rule(fa)[0] | coverage_by_rule(fb)[0]) == len(fa) // 2
+
+
+def admissible_start_lines(params):
+    """Equilibrium classes that exist for these capabilities: the rule
+    ``build_equilibrium`` and the closed form share."""
+    return goldmines._start_lines(params.cap_a, params.cap_b, 2 * params.scale)
+
+
+def equal_capability_welfare(scale, rho, mu, cap):
+    """Total welfare at any equilibrium when both capabilities equal ``cap``.
+
+    Both classes then have the same total, so it is the sum of one class's
+    ``class_payoffs_by_fractions``.  The slope per useful segment is
+    2*rho - mu - 1, so welfare falls as shared capability grows exactly when
+    rho < (1 + mu) / 2.
+    """
+    p = GameParams(scale, rho, mu, cap, cap)
+    require_closed_form_regime(p.rho, p.mu)
+    return sum(class_payoffs_by_fractions(p, 0))
+
+
+def enumerate_pure_equilibria(params, strict=False):
+    """Every pure equilibrium of the capability-restricted game as strategy
+    pairs, in lexicographic profile order: the oracle's table lookup for the
+    "at most" spaces, ``pure_equilibria_by_cell`` for the exact-count ones."""
+    table = oracle._table(params.scale, params.rho, params.mu)
+    if strict:
+        pairs = pure_equilibria_by_cell(table, params.cap_a, params.cap_b, exact=True)
+    else:
+        pairs = table.pure_equilibria(params.cap_a, params.cap_b)
+    return [(table.strategies[a], table.strategies[b]) for a, b in pairs]
+
+
+def verify_strict_ne_coverage(params):
+    """Do all pure equilibria over exact-segment spaces jointly cover every gold?
+
+    Expected to hold whenever 0 < rho < -mu < 1; the check runs regardless
+    and simply reports what it finds.
+    """
+    return all(is_complete_gold_coverage(fa, fb)
+               for fa, fb in enumerate_pure_equilibria(params, strict=True))
+
+
+def _check_distribution(p, size, label):
+    if len(p) != size:
+        raise DimensionMismatch(f"{label} has {len(p)} entries, want {size}")
+    if any(v < 0 for v in p) or sum(p) != 1:
+        raise DimensionMismatch(f"{label} is not a probability vector")
+
+
+def expected_payoff(game, x, y):
+    """Exact expected payoffs x'Ay and x'By of a ``bimatrix.Bimatrix``."""
+    m, k = game.shape
+    _check_distribution(x, m, "row strategy")
+    _check_distribution(y, k, "column strategy")
+    va = sum(x[i] * game.a[i][j] * y[j] for i in range(m) for j in range(k))
+    vb = sum(x[i] * game.b[i][j] * y[j] for i in range(m) for j in range(k))
+    return Fraction(va), Fraction(vb)
+
+
+def is_mixed_ne(game, x, y):
+    """Equilibrium test via pure deviations, which suffice by linearity."""
+    m, k = game.shape
+    va, vb = expected_payoff(game, x, y)
+    for i in range(m):
+        if sum(game.a[i][j] * y[j] for j in range(k)) > va:
+            return False
+    for j in range(k):
+        if sum(x[i] * game.b[i][j] for i in range(m)) > vb:
+            return False
+    return True
+
+
+def game_to_json(game):
+    """Inverse of ``gamefile.parse_game``, producing plain JSON-serializable data."""
+    flat = [
+        [format_rational(v) if v.denominator != 1 else v.numerator for v in vec]
+        for vec in game.payoffs.values()
+    ]
+    return {
+        "players": [
+            {"actions": list(a), "cutoffs": list(c)}
+            for a, c in zip(game.actions, game.cutoffs)
+        ],
+        "payoffs": flat,
+    }

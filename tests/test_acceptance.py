@@ -24,8 +24,8 @@ from capgames.goldmines import (
     segment_count,
     summarize,
 )
-from capgames.oracle import verify_closed_form, verify_strict_ne_coverage
-from tests._support import random_aligned
+from capgames.oracle import verify_closed_form
+from tests._support import random_aligned, verify_strict_ne_coverage
 
 F = Fraction
 FIXTURE = str(Path(__file__).parent / "data" / "capability_decrease.json")

@@ -11,18 +11,16 @@ from capgames import (
     CapabilityGame,
     ctf_mixed,
     ctf_pure,
-    is_mixed_ne,
     restrict_to_bimatrix,
     support_enumeration,
 )
-from capgames.bimatrix import expected_payoff
 from capgames.errors import (
     DimensionMismatch,
     IncompletePayoffs,
     NotTwoPlayer,
     SizeLimitExceeded,
 )
-from tests._support import support_enumeration_over_fractions
+from tests._support import expected_payoff, is_mixed_ne, support_enumeration_over_fractions
 
 F = Fraction
 

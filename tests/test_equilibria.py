@@ -12,18 +12,22 @@ from capgames import goldmines, oracle
 from capgames.errors import GameFormatError, HypothesisViolation, InvalidStartLine, OutOfRange
 from capgames.goldmines import (
     GameParams,
-    admissible_start_lines,
     build_equilibrium,
-    equal_capability_welfare,
     equilibrium_payoff_grid,
     equilibrium_payoffs,
-    is_complete_gold_coverage,
     payoff,
     perfect_cover,
     segment_count,
     summarize,
 )
-from tests._support import class_payoffs_by_fractions, equilibrium_by_cases
+from tests._support import (
+    admissible_start_lines,
+    class_payoffs_by_fractions,
+    enumerate_pure_equilibria,
+    equal_capability_welfare,
+    equilibrium_by_cases,
+    is_complete_gold_coverage,
+)
 
 F = Fraction
 
@@ -125,7 +129,7 @@ class TestBuildEquilibrium:
                 continue
             for ca, cb in product((1, 2), repeat=2):
                 p = gm(1, ca, cb, rho, -neg_mu)
-                found = oracle.enumerate_pure_equilibria(p)
+                found = enumerate_pure_equilibria(p)
                 for t in (0, 1):
                     first = next(e for e in found if e[0][0] == t and e[1][0] == 1 - t)
                     assert build_equilibrium(p, t) == first
@@ -148,7 +152,7 @@ class TestBuildEquilibrium:
     ):
         for ca, cb in product(range(1, 2 * scale + 3), repeat=2):
             p = gm(scale, ca, cb, rho, mu)
-            genuine = set(oracle.enumerate_pure_equilibria(p))
+            genuine = set(enumerate_pure_equilibria(p))
             by_class = set()
             for t in admissible_start_lines(p):
                 fa, fb = build_equilibrium(p, t)

@@ -62,6 +62,8 @@ def test_from_matrices_round_trip():
         ([[1, 2], [3, 4]], [[1, 2], [3, 4], [5, 6]]),  # extra row in u2
         ([[1, 2], [3, 4]], [[1, 2, 0], [3, 4, 0]]),  # extra column in u2
         ([[1, 2], [3, 4]], [[1, 2]]),  # missing row in u2
+        ([1], [1]),  # rows that are no sequences
+        ([[1]], [1]),  # a row of u2 that is no sequence
     ],
 )
 def test_from_matrices_rejects_ragged_or_mismatched_matrices(u1, u2):
@@ -123,6 +125,12 @@ def test_construction_rejects_missing_and_extra_profiles():
 def test_construction_rejects_a_payoff_that_is_no_sequence():
     with pytest.raises(IncompletePayoffs, match="must be a sequence"):
         CapabilityGame((("a",),), ((1,),), {(0,): 5})
+
+
+def test_construction_rejects_a_null_payoff_vector():
+    # a listed None is a vector of the wrong kind, not a missing one
+    with pytest.raises(IncompletePayoffs, match="must be a sequence, got None"):
+        CapabilityGame((("a",),), ((1,),), {(0,): None})
 
 
 def test_construction_rejects_a_string_payoff_vector():

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capgames import CapabilityGame, game_to_json, load_game, parse_game
+from capgames import CapabilityGame, load_game, parse_game
 from capgames.errors import (
     CapgamesError,
     GameFormatError,
     HierarchyViolation,
     IncompletePayoffs,
 )
+from tests._support import game_to_json
 
 FIXTURES = Path(__file__).parent / "data"
 

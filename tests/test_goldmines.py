@@ -24,10 +24,8 @@ from capgames.goldmines import (
     covers,
     format_strategy,
     is_aligned,
-    is_complete_gold_coverage,
     is_perfect_cover,
     pad_segments,
-    parse_strategy,
     payoff,
     perfect_cover,
     require_closed_form_regime,
@@ -40,9 +38,10 @@ from capgames.goldmines import (
 from tests._support import (
     complement_by_cases,
     coverage_by_rule,
-    flips_by_scan,
+    is_complete_gold_coverage,
     naive_payoff,
     pad_by_rescan,
+    parse_strategy,
     random_aligned,
     segments_of,
     staircase_by_flip_set,
@@ -82,13 +81,11 @@ class TestSummaries:
         assert s.mine_sites == {3}
         assert (s.n_gold, s.n_mine) == (1, 1)
         assert s.segments == 1
-        assert s.up_flips == set() and s.down_flips == set()
 
     def test_perfect_cover_unit(self):
         s = summarize((1, 0, 0, 1))
         assert s.gold_sites == {0, 1}
         assert s.mine_sites == set()
-        assert s.down_flips == {0} and s.up_flips == {2}
         assert s.segments == 3
 
     def test_against_rule_oracle_exhaustively_small(self):
@@ -96,11 +93,9 @@ class TestSummaries:
             for f in product((0, 1), repeat=4 * scale):
                 s = summarize(f)
                 gold, mine = coverage_by_rule(f)
-                up, down = flips_by_scan(f)
                 assert s.gold_sites == gold
                 assert s.mine_sites == mine
                 assert (s.n_gold, s.n_mine) == (len(gold), len(mine))
-                assert s.up_flips == up and s.down_flips == down
                 assert s.segments == segments_of(f)
                 assert segment_count(f) == s.segments
 

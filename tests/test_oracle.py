@@ -12,18 +12,15 @@ from capgames import goldmines, oracle
 from capgames.cli import verify_json
 from capgames.errors import HypothesisViolation, OutOfRange, ScaleLimitExceeded
 from capgames.goldmines import GameParams
-from capgames.oracle import (
-    PayoffTable,
-    enumerate_pure_equilibria,
-    verify_closed_form,
-    verify_strict_ne_coverage,
-)
+from capgames.oracle import PayoffTable, verify_closed_form
 from tests._support import (
     all_strategies,
     coverage_by_rule,
+    enumerate_pure_equilibria,
     is_equilibrium_by_sweep,
     pure_equilibria_by_cell,
     segments_of,
+    verify_strict_ne_coverage,
 )
 
 F = Fraction
@@ -58,7 +55,7 @@ class TestEnumeration:
         rows = [tuple(row) for row in bits.tolist()]
         every = [(f, segments_of(f)) for f in all_strategies(scale)]
         for cap in range(1, top_cap + 1):
-            # the rows pure_equilibria takes for at-most and exact-count caps
+            # the rows an at-most cap and an exact-count cap select
             loose = np.flatnonzero(segments <= cap).tolist()
             strict = np.flatnonzero(segments == cap).tolist()
             layered = [i for c in range(1, cap + 1) for i in np.flatnonzero(segments == c)]
@@ -154,14 +151,14 @@ class TestOnePass:
         table = PayoffTable(scale, rho, mu)
         # capabilities past the largest segment count (4 * scale) included
         for ca, cb in product(range(1, 4 * scale + 3), repeat=2):
-            assert table.pure_equilibria(ca, cb, strict=False) == \
+            assert table.pure_equilibria(ca, cb) == \
                 pure_equilibria_by_cell(table, ca, cb)
 
     def test_matches_the_per_cell_check_on_the_three_block_board(self):
         table = PayoffTable(3, F(1, 2), F(-3, 4))
         cells = {(1, 8), (8, 1)} | {(k, k) for k in range(1, 9)}
         for ca, cb in sorted(cells):
-            assert table.pure_equilibria(ca, cb, strict=False) == \
+            assert table.pure_equilibria(ca, cb) == \
                 pure_equilibria_by_cell(table, ca, cb)
 
     @pytest.mark.parametrize("dtype,rho,mu", [
@@ -178,7 +175,7 @@ class TestOnePass:
             for b, fb in enumerate(table.strategies):
                 assert table.payoff_pair(a, b) == goldmines.payoff(fa, fb, p)
         for ca, cb in product(range(1, 7), repeat=2):
-            assert table.pure_equilibria(ca, cb, strict=False) == \
+            assert table.pure_equilibria(ca, cb) == \
                 pure_equilibria_by_cell(table, ca, cb)
         wider = PayoffTable(2, rho, mu)
         assert wider.ua.dtype == dtype
@@ -187,7 +184,7 @@ class TestOnePass:
     def test_build_and_pass_stay_within_the_table_estimate(self):
         tracemalloc.start()
         try:
-            PayoffTable(3, F(1, 3), F(-1, 2)).pure_equilibria(1, 1, strict=False)
+            PayoffTable(3, F(1, 3), F(-1, 2)).pure_equilibria(1, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

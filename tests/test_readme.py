@@ -1,10 +1,13 @@
 import ast
+import inspect
 import re
 import shlex
 import shutil
 from fractions import Fraction
 from pathlib import Path
 
+import capgames
+from capgames import bimatrix, gamefile, goldmines, oracle
 from capgames.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,3 +51,37 @@ def test_cli_examples_print_what_the_readme_shows(capsys, monkeypatch, tmp_path)
         assert main(shlex.split(command)) == 0, command
         assert capsys.readouterr().out == shown, command
     assert len(examples) == 6
+
+
+PUBLIC_API = [
+    "Bimatrix", "CapabilityGame", "CoverageSummary", "GameParams", "MixedCtf",
+    "MixedEquilibrium", "Positivity", "VerificationReport",
+    "build_complement_cover", "build_equilibrium", "ctf_mixed", "ctf_pure",
+    "enumerate_pure_ne", "equilibrium_payoff_grid", "equilibrium_payoffs",
+    "equilibrium_welfare_levels", "is_capability_positive", "is_pure_ne",
+    "load_game", "pad_segments", "parse_game", "payoff", "perfect_cover",
+    "restrict_to_bimatrix", "staircase", "summarize", "support_enumeration",
+    "verify_closed_form",
+]
+
+# names the library no longer carries; tests/_support.py keeps each one
+REMOVED = {
+    goldmines: ["parse_strategy", "is_complete_gold_coverage",
+                "admissible_start_lines", "equal_capability_welfare"],
+    bimatrix: ["expected_payoff", "is_mixed_ne", "_check_distribution"],
+    gamefile: ["game_to_json"],
+    oracle: ["enumerate_pure_equilibria", "verify_strict_ne_coverage"],
+}
+
+
+def test_the_package_exports_exactly_its_public_api():
+    assert sorted(capgames.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(capgames, name) is not None, name
+    for module, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(capgames, name), name
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not {"up_flips", "down_flips"} & set(goldmines.CoverageSummary.__dataclass_fields__)
+    assert list(inspect.signature(oracle.PayoffTable.pure_equilibria).parameters) == \
+        ["self", "cap_a", "cap_b"]
