@@ -11,40 +11,45 @@ a continuum can go unmarked.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Sequence
 
-from .errors import DimensionMismatch, NotTwoPlayer, SizeLimitExceeded
+from .errors import DimensionMismatch, GameFormatError, NotTwoPlayer, SizeLimitExceeded
 from .game import CapabilityGame, restricted_sizes
 from .rationals import as_fraction, scaled
 
 DEFAULT_MAX_ACTIONS = 8
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+# a string row would split into characters, and a set or a mapping has no columns
+_NOT_ROWS = (str, bytes, Set, Mapping)
 
 
 @dataclass(frozen=True)
 class Bimatrix:
-    """Payoff matrices of a two-player game; rows belong to player 1."""
+    """Payoff matrices of a two-player game; rows belong to player 1.  Building
+    one is the one check of a matrix pair, ``from_matrices``'s too: a bad shape
+    raises ``DimensionMismatch``, an entry ``as_fraction`` refuses ``GameFormatError``."""
 
     a: Matrix
     b: Matrix
 
     def __post_init__(self):
-        conv = lambda m: tuple(tuple(as_fraction(v) for v in row) for row in m)
-        object.__setattr__(self, "a", conv(self.a))
-        object.__setattr__(self, "b", conv(self.b))
-        if len(self.a) == 0 or len(self.a[0]) == 0:
-            raise DimensionMismatch("payoff matrices must be nonempty")
-        shape_a = {len(r) for r in self.a}
-        shape_b = {len(r) for r in self.b}
-        if len(shape_a) != 1 or len(shape_b) != 1:
-            raise DimensionMismatch("ragged payoff matrix")
-        if len(self.a) != len(self.b) or shape_a != shape_b:
-            raise DimensionMismatch("the two payoff matrices must share a shape")
+        try:
+            a, b = (list(m) for m in (self.a, self.b))
+            ragged = any(isinstance(r, _NOT_ROWS) or len(r) != len(a[0]) for r in a + b)
+        except (TypeError, IndexError):  # a matrix or a row that is no sequence, or no row
+            ragged = True
+        if ragged or not a or len(b) != len(a) or len(a[0]) == 0:
+            raise DimensionMismatch("payoff matrices need one nonempty rectangular shape")
+        for name, m in zip("ab", (a, b)):
+            try:
+                object.__setattr__(self, name, tuple(tuple(map(as_fraction, r)) for r in m))
+            except (TypeError, ValueError) as bad:
+                raise GameFormatError(f"payoff matrix {name}: {bad}") from None
 
     @property
     def shape(self) -> tuple[int, int]:

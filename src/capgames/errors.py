@@ -38,7 +38,9 @@ class DimensionMismatch(CapgamesError):
 
 
 class SizeLimitExceeded(CapgamesError):
-    """A matrix side exceeds the support-enumeration bound, ``DEFAULT_MAX_ACTIONS``."""
+    """A computation would pass a size bound: a matrix side past the
+    support-enumeration bound ``DEFAULT_MAX_ACTIONS``, or a capability cell
+    map past the byte budget ``game.MAX_TABLE_BYTES``."""
 
 
 class NotTwoPlayer(CapgamesError):

@@ -23,18 +23,23 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EmptyGame,
     GameFormatError,
     HierarchyViolation,
     IncompletePayoffs,
     OutOfBounds,
+    SizeLimitExceeded,
     UnequalBounds,
 )
 from .rationals import as_fraction, as_integer, scaled, spell
 
 PayoffVector = tuple[Fraction, ...]
 Profile = tuple[int, ...]
+
+# the one memory budget, in bytes: the largest payoff table the oracle may
+# allocate, counted at int64 width (M=3 needs 134 MB, M=4 34 GB), and the
+# largest cell map ne_cells may fill, at 8 bytes per entry
+MAX_TABLE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -135,16 +140,12 @@ class CapabilityGame:
         cutoffs2: Iterable[int] | None = None,
     ) -> "CapabilityGame":
         """Build a two-player game from payoff matrices (rows = player 1)."""
-        try:
-            rows, cols = len(u1), len(u1[0]) if u1 else 0
-            ragged = len(u2) != rows or any(len(row) != cols for row in (*u1, *u2))
-        except TypeError:  # a matrix or a row that is no sequence
-            ragged = True
-        if ragged:
-            raise DimensionMismatch("the two payoff matrices must share one rectangular shape")
-        pay = {(i, j): (u1[i][j], u2[i][j]) for i in range(rows) for j in range(cols)}
-        c1 = tuple(cutoffs1) if cutoffs1 is not None else (rows,)
-        c2 = tuple(cutoffs2) if cutoffs2 is not None else (cols,)
+        from .bimatrix import Bimatrix  # bimatrix imports this module
+        pair = Bimatrix(u1, u2)  # the one check of a matrix pair
+        rows, cols = pair.shape
+        pay = {(i, j): (pair.a[i][j], pair.b[i][j]) for i in range(rows) for j in range(cols)}
+        c1 = cutoffs1 if cutoffs1 is not None else (rows,)
+        c2 = cutoffs2 if cutoffs2 is not None else (cols,)
         acts1 = tuple(f"r{i + 1}" for i in range(rows))
         acts2 = tuple(f"c{j + 1}" for j in range(cols))
         return cls((acts1, acts2), (c1, c2), pay)
@@ -201,7 +202,9 @@ def ne_cells(
 
     Returns a map from every capability profile c, each c_p in
     ``1..max(levels[p])``, to its equilibria in lexicographic order, each
-    a tuple of action indices.
+    a tuple of action indices.  A map of more entries than
+    ``MAX_TABLE_BYTES`` holds at 8 bytes each raises ``SizeLimitExceeded``
+    before it is built.
     """
     shape = utilities[0].shape
     ranks = [np.asarray(lv) - 1 for lv in levels]
@@ -240,6 +243,12 @@ def ne_cells(
     lo = [rank[s[p]] + 1 for p, rank in enumerate(ranks)]
     hi = [np.count_nonzero(best[p][:, opponents(p, profiles)] <= u[s], axis=0)
           for p, u in enumerate(utilities)]
+    # each profile joins every cell of its box, Python integers so no count wraps
+    entries = np.prod(np.subtract(hi, lo) + 1, axis=0, dtype=object).sum()
+    if 8 * entries > MAX_TABLE_BYTES:
+        raise SizeLimitExceeded(
+            f"the capability cells would hold {spell(entries)} equilibrium entries, "
+            f"over the {MAX_TABLE_BYTES}-byte limit at 8 bytes each")
     cells = {cap: [] for cap in product(*(range(1, len(b) + 1) for b in best))}
     for profile, low, high in zip(zip(*(axis.tolist() for axis in s)),
                                   np.transpose(lo).tolist(), np.transpose(hi).tolist()):

@@ -214,9 +214,14 @@ def is_aligned(f: Sequence[int]) -> bool:
 def aligned_coverage_counts(segments: int, start: int, scale: int) -> tuple[int, int]:
     """(golds covered, mines covered) of any aligned strategy, from its shape alone.
 
-    ``start`` is the strategy's bit at site 0.  Valid for
-    1 <= segments <= 2*scale + 1.
+    ``start`` is the strategy's bit at site 0.  Valid for integers (numpy
+    integers included) with 1 <= segments <= 2*scale + 1.
     """
+    try:
+        segments, start, scale = map(as_integer, (segments, start, scale))
+    except TypeError:
+        raise OutOfRange("segments, start and scale must be integers, got "
+                         f"{spell((segments, start, scale), repr)}") from None
     if start not in (0, 1):
         raise OutOfRange(f"start bit must be 0 or 1, got {spell(start)}")
     if not 1 <= segments <= 2 * scale + 1:

@@ -28,13 +28,9 @@ import numpy as np
 
 from . import goldmines
 from .errors import OutOfRange, ScaleLimitExceeded
-from .game import _payoff_dtype, ne_cells
+from .game import MAX_TABLE_BYTES, _payoff_dtype, ne_cells
 from .goldmines import GameParams, Strategy
 from .rationals import scaled, spell
-
-# largest payoff table the oracle may allocate, counted at int64 width:
-# M=3 needs 134 MB, M=4 34 GB; the one limit on exhaustive enumeration
-MAX_TABLE_BYTES = 1 << 30
 
 _SELF_CHECK_PAIRS = 200
 
@@ -78,9 +74,10 @@ class PayoffTable:
     """
 
     def __init__(self, scale: int, rho: Fraction, mu: Fraction):
+        # checked before anything is allocated; the caps play no part in a payoff
+        self._params = GameParams(scale, rho, mu, 1, 1)
+        scale, rho, mu = self._params.scale, self._params.rho, self._params.mu
         bits, self.segments = _strategy_bits(scale)
-        self.scale = scale
-        self.rho, self.mu = rho, mu
         self.strategies: list[Strategy] = list(zip(*bits.T.tolist()))
         n, sites = bits.shape
         cover = bits == [goldmines.resource_line(i, scale) for i in range(sites)]
@@ -112,11 +109,10 @@ class PayoffTable:
     def _self_check(self) -> None:
         """Compare a sample of table entries against the direct payoff rule."""
         n = len(self.strategies)
-        params = GameParams(self.scale, self.rho, self.mu, 4 * self.scale, 4 * self.scale)
         rng = random.Random(0xC0FFEE ^ n)
         for _ in range(_SELF_CHECK_PAIRS):
             a, b = rng.randrange(n), rng.randrange(n)
-            ua, ub = goldmines.payoff(self.strategies[a], self.strategies[b], params)
+            ua, ub = goldmines.payoff(self.strategies[a], self.strategies[b], self._params)
             if ua * self.denominator != int(self.ua[a, b]):
                 raise AssertionError(
                     f"payoff table disagrees with direct evaluation at pair {a},{b}")

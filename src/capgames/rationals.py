@@ -67,16 +67,16 @@ def as_integer(value) -> int:
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and rational strings to Fraction; refuse floats."""
+    """Coerce Fractions, rational strings and whatever ``as_integer`` takes
+    (numpy integers included) to Fraction; refuse floats and booleans."""
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    try:
+        return value if isinstance(value, Fraction) else Fraction(as_integer(value))
+    except TypeError:
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}") from None
 
 
 def scaled(values: Iterable[Fraction]) -> tuple[list[int], int]:

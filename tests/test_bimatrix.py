@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from capgames import (
 )
 from capgames.errors import (
     DimensionMismatch,
+    GameFormatError,
     IncompletePayoffs,
     NotTwoPlayer,
     SizeLimitExceeded,
@@ -42,6 +44,25 @@ def test_shape_validation():
         Bimatrix(a=((1, 2),), b=((0,),))
     with pytest.raises(DimensionMismatch):
         Bimatrix(a=(), b=())
+    with pytest.raises(DimensionMismatch):
+        Bimatrix(a=[1], b=[1])
+    with pytest.raises(DimensionMismatch):
+        Bimatrix(a=None, b=None)
+    with pytest.raises(DimensionMismatch):
+        Bimatrix(a=["ab"], b=["ab"])
+    with pytest.raises(DimensionMismatch):
+        Bimatrix(a=[{1, 2}], b=[{3, 4}])
+
+
+@pytest.mark.parametrize("build", [Bimatrix, CapabilityGame.from_matrices],
+                         ids=["Bimatrix", "from_matrices"])
+def test_both_constructors_take_numpy_integers_and_refuse_inexact_entries(build):
+    lists = build([[1, 2]], [[3, 4]])
+    assert build(np.array([[1, 2]]), np.array([[3, 4]])) == lists
+    assert build([[1, 2]], np.array([[3, 4]])) == lists
+    for bad in ([[1.5]], [[True]], [["0.5"]], [[np.float64(1)]]):
+        with pytest.raises(GameFormatError):
+            build(bad, [[0]])
 
 
 def test_expected_payoff_rejects_non_distributions():

@@ -17,6 +17,7 @@ from capgames import (
     is_capability_positive,
     is_pure_ne,
 )
+from capgames import game as game_module
 from capgames.errors import (
     DimensionMismatch,
     EmptyGame,
@@ -24,6 +25,7 @@ from capgames.errors import (
     HierarchyViolation,
     IncompletePayoffs,
     OutOfBounds,
+    SizeLimitExceeded,
     UnequalBounds,
 )
 from capgames.game import ne_cells, restricted_sizes
@@ -64,11 +66,24 @@ def test_from_matrices_round_trip():
         ([[1, 2], [3, 4]], [[1, 2]]),  # missing row in u2
         ([1], [1]),  # rows that are no sequences
         ([[1]], [1]),  # a row of u2 that is no sequence
+        (None, [[1]]),  # a matrix that is no sequence
+        (["ab"], ["ab"]),  # rows that are strings would split into characters
+        ([], []),  # no rows
+        ([[]], [[]]),  # no columns
+        ([{5: 1}], [[0]]),  # a row with no column order
     ],
 )
 def test_from_matrices_rejects_ragged_or_mismatched_matrices(u1, u2):
     with pytest.raises(DimensionMismatch):
         CapabilityGame.from_matrices(u1, u2)
+
+
+def test_from_matrices_hands_its_cutoffs_to_the_game_check():
+    with pytest.raises(HierarchyViolation, match="cutoffs must be integers, got 5"):
+        CapabilityGame.from_matrices([[1]], [[1]], 5, None)
+    game = CapabilityGame.from_matrices([[1, 2]], [[1, 2]], None, np.array([1, 2]))
+    assert game.cutoffs == ((1,), (1, 2))
+    assert all(type(c) is int for c in game.cutoffs[1])
 
 
 def test_construction_rejects_no_players():
@@ -403,3 +418,21 @@ def test_coordination_game_is_positive():
         cutoffs2=(1, 2),
     )
     assert is_capability_positive(coord) is Positivity.POSITIVE
+
+
+def test_ne_cells_refuses_a_cell_map_past_the_byte_budget(monkeypatch):
+    # all ties: every profile is an equilibrium, and action a of a player on
+    # levels 1..6 sits in the 6 - a levels a + 1..6, so the cells hold
+    # (6 + 5 + ... + 1)**3 = 21**3 = 9261 entries
+    ties, levels = [np.zeros((6, 6, 6), dtype=np.int16)] * 3, [np.arange(1, 7)] * 3
+    monkeypatch.setattr(game_module, "MAX_TABLE_BYTES", 8 * 9260)
+    with pytest.raises(SizeLimitExceeded, match="hold 9261 equilibrium entries"):
+        ne_cells(ties, levels)
+    monkeypatch.setattr(game_module, "MAX_TABLE_BYTES", 8 * 9261)
+    assert sum(map(len, ne_cells(ties, levels).values())) == 9261
+    # at the default budget: 6 players on 8 levels would fill 36**6 entries,
+    # about 17 GB, and are refused before the map is built
+    monkeypatch.undo()
+    ties = [np.zeros((8,) * 6, dtype=np.int16)] * 6
+    with pytest.raises(SizeLimitExceeded, match=f"hold {36**6} equilibrium entries"):
+        ne_cells(ties, [np.arange(1, 9)] * 6)

@@ -183,6 +183,10 @@ class TestAlignment:
             aligned_coverage_counts(4, 0, 1)
         with pytest.raises(OutOfRange):
             aligned_coverage_counts(2, 2, 1)
+        with pytest.raises(OutOfRange):
+            aligned_coverage_counts(1.5, 0, 1)
+        with pytest.raises(OutOfRange):
+            aligned_coverage_counts(2, 0, 1.0)
 
 
 class TestStaircase:

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from capgames import goldmines, oracle
 from capgames.cli import verify_json
-from capgames.errors import HypothesisViolation, OutOfRange, ScaleLimitExceeded
+from capgames.errors import (
+    GameFormatError,
+    HypothesisViolation,
+    OutOfRange,
+    ScaleLimitExceeded,
+)
 from capgames.goldmines import GameParams
 from capgames.oracle import PayoffTable, verify_closed_form
 from tests._support import (
@@ -118,6 +123,21 @@ class TestPayoffTable:
         monkeypatch.setattr(goldmines, "payoff", one_off)
         with pytest.raises(AssertionError, match=reason):
             PayoffTable(1, F(1, 2), F(-3, 4))
+
+    def test_checks_its_parameters_before_it_allocates(self):
+        # a rho of 2 at M = 3 is refused before its 51.5 MB table is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(HypothesisViolation):
+                PayoffTable(3, F(2), F(-1, 2))
+            with pytest.raises(GameFormatError):
+                PayoffTable(1, 0.5, F(-3, 4))
+            with pytest.raises(OutOfRange):
+                PayoffTable(1.0, F(1, 2), F(-3, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_refuses_a_table_over_the_byte_limit(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(2) - 1)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from capgames import goldmines, oracle
@@ -103,6 +104,14 @@ def test_as_fraction_coercions():
         as_fraction(True)
     with pytest.raises(ValueError):
         as_fraction("0.5")
+    # numpy integers are exact integers here as they are for as_integer
+    assert as_fraction(np.int64(-3)) == F(-3) and type(as_fraction(np.int64(-3))) is Fraction
+    with pytest.raises(TypeError, match="booleans are not rationals"):
+        as_fraction(True)
+    with pytest.raises(TypeError, match="got float64"):
+        as_fraction(np.float64(1))
+    with pytest.raises(TypeError, match="got bool"):
+        as_fraction(np.True_)
 
 
 def test_scaled_puts_every_value_over_the_lcm_of_the_denominators():
