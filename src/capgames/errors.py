@@ -38,9 +38,8 @@ class DimensionMismatch(CapgamesError):
 
 
 class SizeLimitExceeded(CapgamesError):
-    """A computation would pass a size bound: a matrix side past the
-    support-enumeration bound ``DEFAULT_MAX_ACTIONS``, or a capability cell
-    map past the byte budget ``game.MAX_TABLE_BYTES``."""
+    """A matrix side passes the support-enumeration bound
+    ``DEFAULT_MAX_ACTIONS``."""
 
 
 class NotTwoPlayer(CapgamesError):

@@ -28,18 +28,13 @@ from .errors import (
     HierarchyViolation,
     IncompletePayoffs,
     OutOfBounds,
-    SizeLimitExceeded,
     UnequalBounds,
 )
 from .rationals import as_fraction, as_integer, scaled, spell
 
 PayoffVector = tuple[Fraction, ...]
 Profile = tuple[int, ...]
-
-# the one memory budget, in bytes: the largest payoff table the oracle may
-# allocate, counted at int64 width (M=3 needs 134 MB, M=4 34 GB), and the
-# largest cell map ne_cells may fill, at 8 bytes per entry
-MAX_TABLE_BYTES = 1 << 30
+Boxes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -151,15 +146,10 @@ class CapabilityGame:
         return cls((acts1, acts2), (c1, c2), pay)
 
     @cached_property
-    def _equilibria(self) -> dict[Profile, tuple[list[Profile], frozenset[PayoffVector]]]:
-        """Every capability profile's pure equilibria, in lexicographic
-        order, and their payoff vectors, from one ``ne_cells`` pass.
-
-        Each player's payoffs are scaled to integers over that player's
-        common denominator, and each action's level is read off the cutoff
-        chain.  Computed on first use; a checked chain gives ``ne_cells`` the
-        gap-free levels it needs.
-        """
+    def _boxes(self) -> Boxes:
+        """``ne_boxes`` over this game, computed on first use: each player's
+        payoffs scaled to integers over their common denominator, and each
+        action's level read off the checked, so gap-free, cutoff chain."""
         counts = tuple(len(a) for a in self.actions)
         vectors = list(self.payoffs.values())
         utilities = []
@@ -169,8 +159,7 @@ class CapabilityGame:
             utilities.append(np.array(ints, dtype=dtype).reshape(counts))
         levels = [np.searchsorted(chain, np.arange(k), side="right") + 1
                   for k, chain in zip(counts, self.cutoffs)]
-        return {cap: (found, frozenset([self.payoffs[s] for s in found]))
-                for cap, found in ne_cells(utilities, levels).items()}
+        return ne_boxes(utilities, levels)
 
 
 def _payoff_dtype(bound: int):
@@ -182,10 +171,10 @@ def _payoff_dtype(bound: int):
     return np.int64 if bound < 2**62 else object
 
 
-def ne_cells(
+def ne_boxes(
     utilities: Sequence[np.ndarray], levels: Sequence[Sequence[int]]
-) -> dict[Profile, list[Profile]]:
-    """Every capability profile's pure Nash equilibria, from one pass.
+) -> Boxes:
+    """Every pure Nash equilibrium of every capability profile, from one pass.
 
     ``utilities[p]`` is player p's exact integer payoff at every full
     profile, as an n-dimensional array; ``levels[p][a]`` is the lowest level
@@ -196,15 +185,12 @@ def ne_cells(
     nested, so s is an equilibrium at capability c exactly when
     ``lo[p] <= c_p <= hi[p]`` for every player p: ``lo[p]`` is s_p's level
     and ``hi[p]`` the number of levels whose best reply to s_-p is no better
-    than s_p.  The pass finds every profile that is an equilibrium somewhere
-    with these bounds, and each such profile then joins every cell of its
-    box.
+    than s_p.
 
-    Returns a map from every capability profile c, each c_p in
-    ``1..max(levels[p])``, to its equilibria in lexicographic order, each
-    a tuple of action indices.  A map of more entries than
-    ``MAX_TABLE_BYTES`` holds at 8 bytes each raises ``SizeLimitExceeded``
-    before it is built.
+    Returns ``(profiles, lo, hi)``, three arrays of one row per profile that
+    is an equilibrium at some capability, in lexicographic order: the
+    profile's action indices and its box.  ``cell`` reads one capability
+    profile's equilibria from them.
     """
     shape = utilities[0].shape
     ranks = [np.asarray(lv) - 1 for lv in levels]
@@ -240,21 +226,21 @@ def ne_cells(
         profiles = profiles[utilities[p][s] == own]
 
     s = np.unravel_index(profiles, shape)
-    lo = [rank[s[p]] + 1 for p, rank in enumerate(ranks)]
-    hi = [np.count_nonzero(best[p][:, opponents(p, profiles)] <= u[s], axis=0)
-          for p, u in enumerate(utilities)]
-    # each profile joins every cell of its box, Python integers so no count wraps
-    entries = np.prod(np.subtract(hi, lo) + 1, axis=0, dtype=object).sum()
-    if 8 * entries > MAX_TABLE_BYTES:
-        raise SizeLimitExceeded(
-            f"the capability cells would hold {spell(entries)} equilibrium entries, "
-            f"over the {MAX_TABLE_BYTES}-byte limit at 8 bytes each")
-    cells = {cap: [] for cap in product(*(range(1, len(b) + 1) for b in best))}
-    for profile, low, high in zip(zip(*(axis.tolist() for axis in s)),
-                                  np.transpose(lo).tolist(), np.transpose(hi).tolist()):
-        for cap in product(*(range(a, b + 1) for a, b in zip(low, high))):
-            cells[cap].append(profile)
-    return cells
+    lo = np.stack([rank[s[p]] + 1 for p, rank in enumerate(ranks)], axis=1)
+    hi = np.zeros_like(lo)
+    for p, u in enumerate(utilities):  # a level at a time: no levels x profiles array
+        opp, own = opponents(p, profiles), u[s]
+        for level_best in best[p]:
+            hi[:, p] += level_best[opp] <= own
+    return np.stack(s, axis=1), lo, hi
+
+
+def cell(boxes: Boxes, capability: Sequence[int]) -> list[Profile]:
+    """The equilibria at one capability profile, in lexicographic order:
+    the rows of ``ne_boxes``'s answer whose box holds ``capability``."""
+    profiles, lo, hi = boxes
+    inside = ((lo <= capability) & (capability <= hi)).all(axis=1)
+    return list(map(tuple, profiles[inside].tolist()))
 
 
 class Positivity(enum.Enum):
@@ -296,8 +282,7 @@ def is_pure_ne(
     """True if no player can gain by deviating inside their restricted space.
 
     Deviations outside the capability-restricted space are never consulted.
-    The answer is a lookup into the same cell map as ``ctf_pure`` and
-    ``enumerate_pure_ne``, built by one ``ne_cells`` pass on first use.
+    It reads the same cell as ``ctf_pure`` and ``enumerate_pure_ne``.
     """
     capability, sizes = _checked(game, capability)
     s = _profile(profile, game.n_players, "profile")
@@ -305,7 +290,7 @@ def is_pure_ne(
         if not 0 <= a < sizes[p]:
             raise OutOfBounds(f"action {spell(a)} of player {p + 1} "
                               f"outside restricted space of size {sizes[p]}")
-    return s in game._equilibria[capability][0]
+    return s in cell(game._boxes, capability)
 
 
 def enumerate_pure_ne(
@@ -313,7 +298,7 @@ def enumerate_pure_ne(
 ) -> list[tuple[int, ...]]:
     """All pure equilibria of the restricted game, in lexicographic order."""
     capability, _ = _checked(game, capability)
-    return list(game._equilibria[capability][0])
+    return cell(game._boxes, capability)
 
 
 def ctf_pure(
@@ -321,11 +306,11 @@ def ctf_pure(
 ) -> frozenset[PayoffVector]:
     """Pure capability transfer function: equilibrium payoff vectors at ``capability``.
 
-    The first call on a game finds every capability profile's equilibria in
-    one pass over the full profiles; later calls are lookups.
+    The first call on a game finds every equilibrium's box in one pass over
+    the full profiles; each call then reads its cell from the boxes.
     """
     capability, _ = _checked(game, capability)
-    return game._equilibria[capability][1]
+    return frozenset([game.payoffs[s] for s in cell(game._boxes, capability)])
 
 
 def equilibrium_welfare_levels(game: CapabilityGame) -> list[frozenset[Fraction]]:

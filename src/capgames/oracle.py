@@ -13,8 +13,8 @@ than 134 MB as int64), falling back to Python integers past int64.  Each
 table checks a sample of its own entries against goldmines.payoff at build
 time.  The "at most L segments" spaces are nested, so the table is a
 two-player capability game whose levels are segment counts, and the generic
-engine's one pass (``game.ne_cells``) maps every capability cell to its
-equilibria; each cell is then a lookup into that map.
+engine's one pass (``game.ne_boxes``) finds each equilibrium's box of
+capability cells; each cell is then read from those boxes.
 """
 
 from __future__ import annotations
@@ -28,11 +28,15 @@ import numpy as np
 
 from . import goldmines
 from .errors import OutOfRange, ScaleLimitExceeded
-from .game import MAX_TABLE_BYTES, _payoff_dtype, ne_cells
+from .game import _payoff_dtype, cell, ne_boxes
 from .goldmines import GameParams, Strategy
 from .rationals import scaled, spell
 
 _SELF_CHECK_PAIRS = 200
+
+# the largest payoff table the oracle may allocate, in bytes, counted at
+# int64 width (M=3 needs 134 MB, M=4 34 GB)
+MAX_TABLE_BYTES = 1 << 30
 
 
 def table_bytes(scale: int) -> int:
@@ -128,17 +132,17 @@ class PayoffTable:
         )
 
     @cached_property
-    def _cells(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """``game.ne_cells`` over this table: the two players' levels are
+    def _boxes(self):
+        """``game.ne_boxes`` over this table: the two players' levels are
         their strategies' segment counts.  Computed on first use."""
-        return ne_cells((self.ua, self.ua.T), (self.segments, self.segments))
+        return ne_boxes((self.ua, self.ua.T), (self.segments, self.segments))
 
     def pure_equilibria(self, cap_a: int, cap_b: int) -> list[tuple[int, int]]:
         """Index pairs where neither player can improve inside their space,
         in lexicographic order."""
         # caps past the most segments clamp to it; caps below 1 have no cell
         top = int(self.segments.max())
-        return list(self._cells.get((min(cap_a, top), min(cap_b, top)), ()))
+        return cell(self._boxes, (min(cap_a, top), min(cap_b, top)))
 
 
 # one table at a time: at M=3 each holds at least 32 MB

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -17,7 +18,6 @@ from capgames import (
     is_capability_positive,
     is_pure_ne,
 )
-from capgames import game as game_module
 from capgames.errors import (
     DimensionMismatch,
     EmptyGame,
@@ -25,10 +25,9 @@ from capgames.errors import (
     HierarchyViolation,
     IncompletePayoffs,
     OutOfBounds,
-    SizeLimitExceeded,
     UnequalBounds,
 )
-from capgames.game import ne_cells, restricted_sizes
+from capgames.game import cell, ne_boxes, restricted_sizes
 from tests._support import pure_equilibria_by_levels, pure_ne_by_sweep
 
 # 2x2 game in which giving player 1 a second action strictly lowers their
@@ -334,7 +333,7 @@ def _gap_free(levels):
 @st.composite
 def level_games(draw):
     """1-3 players with 1-4 actions each, a level per action, not monotone
-    in the action order but gap-free (as ``ne_cells`` requires), and
+    in the action order but gap-free (as ``ne_boxes`` requires), and
     integer payoffs from -1..1 so that ties are common."""
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
     levels = [_gap_free(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
@@ -354,11 +353,9 @@ def level_games(draw):
 @example(([np.array([[1], [0], [1]]), np.array([[0], [2], [1]])], [[2, 1, 1], [1]]))
 def test_ne_cells_match_a_deviation_sweep_on_every_cell(g):
     utilities, levels = g
-    cells = ne_cells(utilities, levels)
-    grid = list(product(*(range(1, max(lv) + 1) for lv in levels)))
-    assert list(cells) == grid
-    for cap in grid:
-        assert cells[cap] == pure_equilibria_by_levels(utilities, levels, cap)
+    boxes = ne_boxes(utilities, levels)
+    for cap in product(*(range(1, max(lv) + 1) for lv in levels)):
+        assert cell(boxes, cap) == pure_equilibria_by_levels(utilities, levels, cap)
 
 
 def test_ctf_pure_is_exact_past_int64():
@@ -420,19 +417,49 @@ def test_coordination_game_is_positive():
     assert is_capability_positive(coord) is Positivity.POSITIVE
 
 
-def test_ne_cells_refuses_a_cell_map_past_the_byte_budget(monkeypatch):
+def _peak_bytes(call):
+    """``call()``'s answer and the peak of what it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        answer = call()
+        return answer, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ne_boxes_answer_every_cell_of_all_ties_arrays():
     # all ties: every profile is an equilibrium, and action a of a player on
-    # levels 1..6 sits in the 6 - a levels a + 1..6, so the cells hold
-    # (6 + 5 + ... + 1)**3 = 21**3 = 9261 entries
-    ties, levels = [np.zeros((6, 6, 6), dtype=np.int16)] * 3, [np.arange(1, 7)] * 3
-    monkeypatch.setattr(game_module, "MAX_TABLE_BYTES", 8 * 9260)
-    with pytest.raises(SizeLimitExceeded, match="hold 9261 equilibrium entries"):
-        ne_cells(ties, levels)
-    monkeypatch.setattr(game_module, "MAX_TABLE_BYTES", 8 * 9261)
-    assert sum(map(len, ne_cells(ties, levels).values())) == 9261
-    # at the default budget: 6 players on 8 levels would fill 36**6 entries,
-    # about 17 GB, and are refused before the map is built
-    monkeypatch.undo()
-    ties = [np.zeros((8,) * 6, dtype=np.int16)] * 6
-    with pytest.raises(SizeLimitExceeded, match=f"hold {36**6} equilibrium entries"):
-        ne_cells(ties, [np.arange(1, 9)] * 6)
+    # levels 1..6 sits in the 6 - a levels a + 1..6, so the cells together
+    # hold (6 + 5 + ... + 1)**3 = 21**3 = 9261 entries
+    boxes = ne_boxes([np.zeros((6, 6, 6), dtype=np.int16)] * 3, [np.arange(1, 7)] * 3)
+    assert sum(len(cell(boxes, cap)) for cap in product(range(1, 7), repeat=3)) == 9261
+    # 6 players on 8 levels: a map of every cell would hold 36**6 entries,
+    # about 17 GB; the boxes hold one row per profile
+    boxes = ne_boxes([np.zeros((8,) * 6, dtype=np.int16)] * 6, [np.arange(1, 9)] * 6)
+    assert cell(boxes, (8,) * 6) == list(product(range(8), repeat=6))
+    assert cell(boxes, (1,) * 6) == [(0,) * 6]
+
+
+def test_ne_boxes_count_each_bound_without_a_levels_by_profiles_array():
+    # 400 x 400 all ties: 160,000 equilibria on 400 levels each; counting
+    # their upper bounds over every level at once takes about 200 MB
+    k = 400
+    ties = [np.zeros((k, k), dtype=np.int16)] * 2
+    boxes, peak = _peak_bytes(lambda: ne_boxes(ties, [np.arange(1, k + 1)] * 2))
+    assert peak < 40_000_000
+    assert cell(boxes, (1, 1)) == [(0, 0)]
+    assert len(cell(boxes, (k, k))) == k * k
+    assert cell(boxes, (2, k))[-1] == (1, k - 1)
+
+
+def test_an_all_ties_game_answers_its_top_cell_from_the_boxes():
+    # 5 players, 6 actions on 6 levels each, all ties: the 7,776 profiles
+    # are equilibria on 4,084,101 cells in all, but one cell is all a call reads
+    g = CapabilityGame((tuple("abcdef"),) * 5, ((1, 2, 3, 4, 5, 6),) * 5,
+                       {s: (0,) * 5 for s in product(range(6), repeat=5)})
+    payoffs, peak = _peak_bytes(lambda: ctf_pure(g, (6,) * 5))
+    assert payoffs == {(0,) * 5}
+    assert peak < 10_000_000
+    found, peak = _peak_bytes(lambda: enumerate_pure_ne(g, (6,) * 5))
+    assert found == list(product(range(6), repeat=5))
+    assert peak < 10_000_000
