@@ -171,10 +171,8 @@ def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
                     continue
                 (ys, u, y_degenerate), (xs, v, x_degenerate) = y_reply, x_reply
                 x, y = _embed(xs, rows, m), _embed(ys, cols, k)
-                # a point reached from a second support pair has a zero
-                # weight in one of the two pairs
-                degenerate = x_degenerate or y_degenerate or (x, y) in found
-                found[x, y] = MixedEquilibrium(x, y, (u, v), degenerate)
+                # supports grow, so a point met again has a zero weight, which _reply flags
+                found[x, y] = MixedEquilibrium(x, y, (u, v), x_degenerate or y_degenerate)
     return list(found.values())
 
 

@@ -210,16 +210,18 @@ def ne_boxes(
         stride = prod(shape[p + 1:])
         return flat // (shape[p] * stride) * stride + flat % stride
 
-    # only the first player's check is dense; the others run by gather on
-    # the profiles where the first player is already best-replying (a dense
-    # check over the oracle's transposed table costs several times the pass)
+    # only the first player's check is dense, one level's rows at a time;
+    # the others run by gather on the profiles where the first player is
+    # already best-replying (a dense check over the oracle's transposed
+    # table costs several times the pass)
     first = utilities[0].reshape(shape[0], -1)
-    replies = np.empty(first.shape, dtype=bool)
+    hits = []
     for j, level_best in enumerate(best[0]):
-        rows = ranks[0] == j
-        replies[rows] = first[rows] == level_best
-    profiles = np.flatnonzero(replies)
-    del replies
+        rows = np.flatnonzero(ranks[0] == j)
+        row, col = np.divmod(np.flatnonzero(first[rows] == level_best), first.shape[1])
+        hits.append(rows[row] * first.shape[1] + col)
+    # each level's hits are sorted; the stable sort only merges the runs
+    profiles = np.sort(np.concatenate(hits), kind="stable")
     for p in range(1, len(shape)):
         s = np.unravel_index(profiles, shape)
         own = best[p][ranks[p][s[p]], opponents(p, profiles)]

@@ -7,14 +7,14 @@ expressions are consulted except as the prediction being tested, so a match
 is genuine evidence.
 
 Payoffs over all strategy pairs are held as one integer matrix (every value
-is scaled by the common denominator of rho and mu) in the narrowest dtype
-that holds them exactly, int16 for small denominators (32 MB at M = 3 rather
-than 134 MB as int64), falling back to Python integers past int64.  Each
-table checks a sample of its own entries against goldmines.payoff at build
-time.  The "at most L segments" spaces are nested, so the table is a
-two-player capability game whose levels are segment counts, and the generic
-engine's one pass (``game.ne_boxes``) finds each equilibrium's box of
-capability cells; each cell is then read from those boxes.
+is scaled by the common denominator of rho and mu), gathered from the
+(2M+1)^3 payoffs that coverage counts allow, in the narrowest dtype that
+holds them exactly: int16 for small denominators (32 MB at M = 3 rather than
+134 MB as int64), Python integers past int64.  Each table checks a sample of
+its entries against goldmines.payoff at build time.  The "at most L
+segments" spaces are nested, so the table is a two-player capability game
+whose levels are segment counts, and the generic engine's one pass
+(``game.ne_boxes``) finds each equilibrium's box of capability cells.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class PayoffTable:
     ``ua[a, b]`` is player A's payoff times ``denominator`` when A plays
     strategy index a and B plays b; the game is symmetric, so B's payoff is
     the transposed entry.  Entries use the narrowest integer dtype that holds
-    every payoff exactly, with Python integers beyond int64.
+    every payoff exactly; past int64 they refer to at most (2M+1)^3 distinct
+    Python integers, so the table keeps the int64 size ``table_bytes`` counts.
     """
 
     def __init__(self, scale: int, rho: Fraction, mu: Fraction):
@@ -83,31 +84,24 @@ class PayoffTable:
         scale, rho, mu = self._params.scale, self._params.rho, self._params.mu
         bits, self.segments = _strategy_bits(scale)
         self.strategies: list[Strategy] = list(zip(*bits.T.tolist()))
-        n, sites = bits.shape
-        cover = bits == [goldmines.resource_line(i, scale) for i in range(sites)]
-        gold = np.array([goldmines.resource_type(i, scale) == goldmines.GOLD
-                         for i in range(sites)])
-        n_gold = cover[:, gold].sum(axis=1)
-        n_mine = cover[:, ~gold].sum(axis=1)
-
-        # shared[a, b]: golds both strategies cover, at most 2*scale
-        shared = np.zeros((n, n), dtype=np.uint8)
-        for g in np.flatnonzero(gold):
-            col = cover[:, g].astype(np.uint8)
-            shared += col[:, None] & col
-
+        sites = range(bits.shape[1])
+        cover = bits == [goldmines.resource_line(i, scale) for i in sites]
+        gold = np.array([goldmines.resource_type(i, scale) == goldmines.GOLD for i in sites])
+        golds, k = cover[:, gold], 2 * scale
         (rho_scaled, mu_scaled), den = scaled((rho, mu))
         self.denominator = den
-        # bounds every entry and every partial sum below
-        bound = 2 * scale * (2 * den + abs(rho_scaled) + abs(mu_scaled))
-        dtype = _payoff_dtype(bound)
-        # ua[a, b] = what a earns alone, minus what each shared gold costs
-        # it; the per-strategy sums are Python integers, exact at any width
-        alone = n_gold.astype(object) * den + n_mine.astype(object) * mu_scaled
-        self.ua = shared.astype(dtype)
-        del shared
-        self.ua *= rho_scaled - den
-        self.ua += alone.astype(dtype)[:, None]
+        bound = 2 * scale * (2 * den + abs(rho_scaled) + abs(mu_scaled))  # of every entry
+        # value[g, m, s]: A's payoff for covering g golds and m mines, s of
+        # the golds also covered by B; built in Python integers, so exact
+        count = np.arange(k + 1).astype(object)
+        value = (den * count[:, None, None] + mu_scaled * count[:, None]
+                 + (rho_scaled - den) * count).astype(_payoff_dtype(bound))
+        # B enters only through its gold set: by_set[a, G] is A's payoff
+        # against gold set G (bit i for the i-th gold); ua takes B's column
+        sets = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+        by_set = value[golds.sum(axis=1)[:, None], cover[:, ~gold].sum(axis=1)[:, None],
+                       golds @ sets.T]
+        self.ua = by_set.take(golds @ (1 << np.arange(k)), axis=1)
         self._self_check()
 
     def _self_check(self) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import numpy as np
 
@@ -88,6 +89,29 @@ def segments_of(f):
 
 def all_strategies(scale):
     return list(product((0, 1), repeat=4 * scale))
+
+
+def payoff_table_by_sites(scale, rho, mu):
+    """Player A's payoff times the lcm of rho's and mu's denominators at
+    every strategy pair (A's strategy the row, B's the column, in
+    lexicographic order), counting shared golds one gold site at a time:
+    the oracle's table as first built."""
+    den = lcm(rho.denominator, mu.denominator)
+    rho_scaled, mu_scaled = int(rho * den), int(mu * den)
+    sites = range(4 * scale)
+    cover = np.array(all_strategies(scale)) == [(i + 1) % 2 for i in sites]
+    gold = np.array([i % 4 <= 1 for i in sites])
+    shared = np.zeros((len(cover), len(cover)), dtype=np.uint8)
+    for g in np.flatnonzero(gold):
+        col = cover[:, g].astype(np.uint8)
+        shared += col[:, None] & col
+    alone = (cover[:, gold].sum(axis=1).astype(object) * den
+             + cover[:, ~gold].sum(axis=1).astype(object) * mu_scaled)
+    bound = 2 * scale * (2 * den + abs(rho_scaled) + abs(mu_scaled))
+    table = shared.astype(np.int64 if bound < 2**62 else object)
+    table *= rho_scaled - den
+    table += alone.astype(table.dtype)[:, None]
+    return table
 
 
 # --- the gold-and-mines constructions as first written ---

@@ -23,6 +23,7 @@ from tests._support import (
     coverage_by_rule,
     enumerate_pure_equilibria,
     is_equilibrium_by_sweep,
+    payoff_table_by_sites,
     pure_equilibria_by_cell,
     segments_of,
     verify_strict_ne_coverage,
@@ -201,14 +202,41 @@ class TestOnePass:
         assert wider.ua.dtype == dtype
         assert wider.segments.tolist() == [segments_of(f) for f in wider.strategies]
 
+    # the widths above: int16 at M = 3, the wider ones at M = 2 (M = 1 is
+    # checked against goldmines.payoff above)
+    @pytest.mark.parametrize("scale,rho,mu", [
+        (3, F(1, 2), F(-3, 4)),
+        (2, F(1, 10007), F(-1, 2)),
+        (2, F(1, 1000003), F(-1, 999983)),
+        (2, F(1, 3**40), F(-1, 2)),
+    ])
+    def test_every_entry_matches_a_count_by_gold_site(self, scale, rho, mu):
+        table = PayoffTable(scale, rho, mu)
+        assert np.array_equal(table.ua, payoff_table_by_sites(scale, rho, mu))
+
     def test_build_and_pass_stay_within_the_table_estimate(self):
+        # the int16 table at M = 3 is 32 MB; the build and the pass may add
+        # half as much again
         tracemalloc.start()
         try:
-            PayoffTable(3, F(1, 3), F(-1, 2)).pure_equilibria(1, 1)
+            table = PayoffTable(3, F(1, 3), F(-1, 2))
+            table.pure_equilibria(1, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= oracle.table_bytes(3)
+        assert peak <= 1.5 * table.ua.nbytes
+
+    def test_a_python_integer_table_shares_its_integers(self):
+        # each entry refers to one of at most 5**3 integers, so the 65,536
+        # entries cost a pointer apiece rather than a 6,341-bit integer each
+        rho = F(1, 3**4000)
+        tracemalloc.start()
+        try:
+            PayoffTable(2, rho, F(-1, 2)).pure_equilibria(1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestEquilibriumSweep:
