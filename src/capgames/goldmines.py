@@ -27,8 +27,9 @@ numerator; ``equilibrium_payoffs`` is its one-cell case.
 
 ``build_equilibrium`` has two regimes: staircases for both players when
 either can afford 2*scale segments, else the lower player's staircase and the
-other's padded complement cover.  Each starts with a ``staircase``, which
-checks the board with ``require_board`` before building anything.
+other's complement cover, padded by copying the perfect cover block by block.
+Each starts with a ``staircase``, which checks the board with
+``require_board`` before building anything.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    CapgamesError,
     GameFormatError,
     HypothesisViolation,
     InvalidStartLine,
@@ -78,11 +80,7 @@ class GameParams:
 
     def __post_init__(self):
         for name in ("scale", "cap_a", "cap_b"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, as_integer(value))
-            except TypeError:
-                raise OutOfRange(f"{name} must be an integer, got {spell(value, repr)}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("rho", "mu"):
             try:
                 object.__setattr__(self, name, as_fraction(getattr(self, name)))
@@ -110,15 +108,27 @@ def require_closed_form_regime(rho: Fraction, mu: Fraction) -> None:
             f"closed form needs 0 < rho < -mu < 1; got rho = {spell(rho)}, mu = {spell(mu)}")
 
 
+def _integer(name: str, value, error: type[CapgamesError] = OutOfRange) -> int:
+    """``value`` through ``as_integer`` (numpy integers yes, booleans and
+    floats no); anything else raises ``error`` naming the argument."""
+    try:
+        return as_integer(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {spell(value, repr)}") from None
+
+
 # --- board geometry ---
 
-def require_board(scale: int) -> None:
-    """Refuse a board below scale 1 or of more than ``MAX_CELLS`` sites."""
+def require_board(scale: int) -> int:
+    """The scale as an int; refuse a non-integer, a board below scale 1 or
+    one of more than ``MAX_CELLS`` sites."""
+    scale = _integer("board scale", scale)
     if scale < 1:
         raise OutOfRange(f"board scale must be a positive integer: {spell(scale)}")
     if 4 * scale > MAX_CELLS:
         raise OutOfRange(f"a board at M = {spell(scale)} has 4*M sites, "
                          f"over the {MAX_CELLS}-site limit")
+    return scale
 
 
 def resource_line(i: int, scale: int) -> int:
@@ -217,11 +227,8 @@ def aligned_coverage_counts(segments: int, start: int, scale: int) -> tuple[int,
     ``start`` is the strategy's bit at site 0.  Valid for integers (numpy
     integers included) with 1 <= segments <= 2*scale + 1.
     """
-    try:
-        segments, start, scale = map(as_integer, (segments, start, scale))
-    except TypeError:
-        raise OutOfRange("segments, start and scale must be integers, got "
-                         f"{spell((segments, start, scale), repr)}") from None
+    segments, start = _integer("segments", segments), _integer("start bit", start)
+    scale = _integer("scale", scale)
     if start not in (0, 1):
         raise OutOfRange(f"start bit must be 0 or 1, got {spell(start)}")
     if not 1 <= segments <= 2 * scale + 1:
@@ -236,6 +243,7 @@ def aligned_coverage_counts(segments: int, start: int, scale: int) -> tuple[int,
 def is_perfect_cover(f: Sequence[int], lo: int, hi: int) -> bool:
     """Covers every gold and no mine among sites lo..hi (inclusive)."""
     scale = _check_strategy(f)
+    lo, hi = _integer("lo", lo), _integer("hi", hi)
     if not 0 <= lo <= hi < 4 * scale:
         raise OutOfRange(
             f"window {spell(lo)}..{spell(hi)} outside 0..{4 * scale - 1}")
@@ -252,7 +260,8 @@ def staircase(scale: int, segments: int, start: int) -> Strategy:
     budget allows.  Needs a board ``require_board`` admits and
     segments <= 2*scale + start.
     """
-    require_board(scale)
+    scale = require_board(scale)
+    segments, start = _integer("segments", segments), _integer("start bit", start)
     if start not in (0, 1):
         raise OutOfRange(f"start bit must be 0 or 1, got {spell(start)}")
     limit = 2 * scale + 1 if start == 1 else 2 * scale
@@ -293,14 +302,16 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
     """Grow an aligned strategy to exactly ``target`` segments without losing
     any covered gold or moving its start bit.
 
-    Works left to right, perfecting one four-site block per step while two or
-    more segments are still missing, then makes a final single-segment
-    adjustment at the right edge if needed; each step recounts only the runs
-    it can change, so this is linear in the board.  Requirements (each
-    reported by name when violated): scale >= 2; 1 <= target <= 2*scale - 1;
-    the input is aligned, within budget, and does not already cover the last
-    block perfectly.
+    While two or more segments are missing, step k copies the perfect cover's
+    0, 0, 1, 1 over sites 4k+1..4k+4: an aligned strategy flips down only at
+    4k|4k+1 and up only at 4k+2|4k+3, so one copy serves whatever block k held.
+    A last missing segment lifts the final site or ends the board 1, 1, 0, 0, 0.
+    Steps recount only the runs they change, so this is linear.  Needs, each
+    reported by name: integer target and scale, scale >= 2, 1 <= target <=
+    2*scale - 1, an aligned input within budget, and an imperfect last block.
     """
+    target = _integer("target segments", target, PreconditionViolated)
+    scale = _integer("scale", scale, PreconditionViolated)
     if scale < 2:
         raise PreconditionViolated("padding needs scale >= 2")
     if not 1 <= target <= 2 * scale - 1:
@@ -319,35 +330,21 @@ def pad_segments(f_prime: Sequence[int], target: int, scale: int) -> Strategy:
     if is_perfect_cover(f_prime, n - 4, n - 1):
         raise PreconditionViolated("last four sites must be imperfectly covered")
 
-    f = list(f_prime)
+    f, perfect = list(f_prime), perfect_cover(scale)
     missing = target - count
     k = 0
     while missing >= 2:
         # the step rewrites sites 4k+1..4k+4; recount the runs they touch
         window = slice(max(4 * k - 1, 0), 4 * k + 6)
         missing += segment_count(f[window])
-        if f[4 * k + 3] == 0:
-            # alignment forces the next four bits to be 0 here
-            f[4 * k + 3] = 1
-            if k + 1 < scale:
-                f[4 * k + 4] = 1
-        elif k > 0 or f[4 * k] == 1:
-            # block edges both on line 1: carve the middle out
-            f[4 * k + 1] = 0
-            f[4 * k + 2] = 0
+        f[4 * k + 1:4 * k + 5] = perfect[4 * k + 1:4 * k + 5]
         missing -= segment_count(f[window])
         k += 1
     if missing == 1:
         if f[n - 1] == 0:
             f[n - 1] = 1
-        elif f[n - 2] == 1:
-            f[n - 3] = 0
-            f[n - 2] = 0
-            f[n - 1] = 0
         else:
-            f[n - 5] = 1
-            f[n - 4] = 1
-            f[n - 1] = 0
+            f[n - 5:] = [1, 1, 0, 0, 0]
     return tuple(f)
 
 
@@ -364,6 +361,7 @@ def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strat
     other's complement cover, padded to exactly its capability.
     """
     require_closed_form_regime(params.rho, params.mu)
+    start_a = _integer("start line", start_a, InvalidStartLine)
     if start_a not in (0, 1):
         raise InvalidStartLine(f"start line must be 0 or 1, got {spell(start_a)}")
     scale, ca, cb = params.scale, params.cap_a, params.cap_b

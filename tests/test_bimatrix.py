@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from capgames import (
     Bimatrix,
     CapabilityGame,
+    MixedCtf,
     ctf_mixed,
     ctf_pure,
     restrict_to_bimatrix,
@@ -135,6 +136,27 @@ def test_support_enumeration_matches_elimination_over_fractions(data):
     found = support_enumeration(Bimatrix(a=a, b=b))
     assert [(eq.x, eq.y, eq.values, eq.degenerate) for eq in found] == (
         support_enumeration_over_fractions(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ctf_mixed_matches_elimination_over_fractions_at_every_cell(data):
+    # random cutoff chains over the same small value sets: each capability
+    # cell's payoff set and degenerate flag come from the reference run on
+    # the cell's restricted matrices
+    values = st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2), F(-2, 3)))
+    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a, b = (data.draw(st.lists(st.lists(values, min_size=k, max_size=k),
+                               min_size=m, max_size=m)) for _ in range(2))
+    c1, c2 = ([i for i in range(1, size) if data.draw(st.booleans())] + [size]
+              for size in (m, k))
+    game = CapabilityGame.from_matrices(a, b, c1, c2)
+    for (la, rows), (lb, cols) in product(enumerate(c1, 1), enumerate(c2, 1)):
+        reference = support_enumeration_over_fractions([row[:cols] for row in a[:rows]],
+                                                       [row[:cols] for row in b[:rows]])
+        assert ctf_mixed(game, (la, lb)) == MixedCtf(
+            frozenset(pair for _, _, pair, _ in reference),
+            any(degenerate for *_, degenerate in reference)), (la, lb)
 
 
 def test_pure_equilibria_appear_as_unit_vectors():

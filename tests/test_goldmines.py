@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from capgames.errors import (
     GameFormatError,
     HypothesisViolation,
+    InvalidStartLine,
     LengthMismatch,
     NonConformingInput,
     OutOfRange,
@@ -21,6 +23,7 @@ from capgames.goldmines import (
     GameParams,
     aligned_coverage_counts,
     build_complement_cover,
+    build_equilibrium,
     covers,
     format_strategy,
     is_aligned,
@@ -28,6 +31,7 @@ from capgames.goldmines import (
     pad_segments,
     payoff,
     perfect_cover,
+    require_board,
     require_closed_form_regime,
     resource_line,
     resource_type,
@@ -52,6 +56,47 @@ F = Fraction
 
 def params(scale, rho=F(1, 2), mu=F(-3, 4), ca=1, cb=1):
     return GameParams(scale, rho, mu, ca, cb)
+
+
+@cache
+def aligned_boards(scale):
+    return [f for f in product((0, 1), repeat=4 * scale) if is_aligned(f)]
+
+
+# each integer argument of a strategy tool refuses what as_integer refuses,
+# with the tool's own error class
+NON_INTEGER_CALLS = {
+    "require_board-float": (lambda: require_board(2.5), OutOfRange),
+    "staircase-segments-float": (lambda: staircase(2, 2.0, 1), OutOfRange),
+    "staircase-scale-float": (lambda: staircase(2.0, 2, 1), OutOfRange),
+    "staircase-segments-str": (lambda: staircase(2, "2", 1), OutOfRange),
+    "staircase-start-bool": (lambda: staircase(2, 2, True), OutOfRange),
+    "perfect_cover-float": (lambda: perfect_cover(2.0), OutOfRange),
+    "is_perfect_cover-float": (lambda: is_perfect_cover((1, 0, 0, 1), 0.0, 3), OutOfRange),
+    "pad_segments-scale-float": (
+        lambda: pad_segments((1, 0, 0, 0, 0, 0, 0, 0), 3, 2.0), PreconditionViolated),
+    "pad_segments-target-str": (
+        lambda: pad_segments((1, 0, 0, 0, 0, 0, 0, 0), "3", 2), PreconditionViolated),
+    "pad_segments-target-float": (
+        lambda: pad_segments((1, 0, 0, 0, 0, 0, 0, 0), 3.0, 2), PreconditionViolated),
+    "build_equilibrium-float": (
+        lambda: build_equilibrium(GameParams(2, F(1, 4), F(-1, 2), 2, 3), 1.0), InvalidStartLine),
+    "build_equilibrium-bool": (
+        lambda: build_equilibrium(GameParams(2, F(1, 4), F(-1, 2), 2, 3), True), InvalidStartLine),
+}
+
+
+@pytest.mark.parametrize("call,error", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
+def test_integer_arguments_refuse_anything_else(call, error):
+    with pytest.raises(error, match="must be an integer, got"):
+        call()
+
+
+def test_numpy_integer_arguments_become_ints():
+    fa, fb = build_equilibrium(GameParams(2, F(1, 4), F(-1, 2), 2, 3), np.int64(1))
+    assert (fa, fb) == build_equilibrium(GameParams(2, F(1, 4), F(-1, 2), 2, 3), 1)
+    assert all(type(b) is int for b in fa + fb + staircase(np.int64(2), np.int32(3), np.uint8(0)))
+    assert require_board(np.int64(3)) == 3 and type(require_board(np.int64(3))) is int
 
 
 class TestBoardLayout:
@@ -296,8 +341,7 @@ class TestComplementCover:
             assert segment_count(fa) <= segment_count(fb)
 
     def test_matches_the_case_by_case_blocks_exhaustively(self):
-        aligned = [f for scale in range(1, 5)
-                   for f in product((0, 1), repeat=4 * scale) if is_aligned(f)]
+        aligned = [f for scale in range(1, 5) for f in aligned_boards(scale)]
         assert len(aligned) == 141
         for f in aligned:
             assert build_complement_cover(f) == complement_by_cases(f), f
@@ -354,6 +398,25 @@ class TestPadSegments:
             assert summarize(f).gold_sites <= summarize(out).gold_sites
             done += 1
 
+
+    def test_matches_the_rescanning_reference_exhaustively(self):
+        # every aligned board at M = 2..4 the preconditions admit, at every
+        # target from its segment count up to 2M - 1
+        pairs = 0
+        for scale in range(2, 5):
+            for f in aligned_boards(scale):
+                if (is_perfect_cover(f, 4 * scale - 4, 4 * scale - 1)
+                        or segment_count(f) > 2 * scale - 1):
+                    continue
+                for target in range(segment_count(f), 2 * scale):
+                    assert pad_segments(f, target, scale) == pad_by_rescan(f, target, scale)
+                    pairs += 1
+        assert pairs == 356
+
+    def test_refuses_a_board_over_the_site_limit(self):
+        scale = 2**18 + 1
+        with pytest.raises(OutOfRange, match="1048576-site limit"):
+            pad_segments((1,) * (4 * scale - 4) + (1, 0, 0, 0), 3, scale)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.integers(2, 10),
