@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import lcm
 
@@ -234,8 +235,9 @@ def pure_equilibria_by_levels(utilities, levels, capability):
 
 
 def pure_equilibria_by_cell(table, cap_a, cap_b, exact=False):
-    """Index pairs of every pure equilibrium of an ``oracle.PayoffTable`` with
-    at most (with ``exact``, exactly) ``cap_a`` / ``cap_b`` segments, by
+    """Index pairs of every pure equilibrium of a ``StrategyTable`` or an
+    ``oracle.PayoffTable`` with at most (with ``exact``, exactly) ``cap_a`` /
+    ``cap_b`` segments (a class's level, in the class game), by
     masking the table down to the two spaces and comparing each entry with
     its column's best reply.  An empty space has no equilibrium."""
     within = np.equal if exact else np.less_equal
@@ -314,12 +316,19 @@ def support_enumeration_over_fractions(a, b):
 # --- helpers that left the library ---
 # Tests use these as conveniences and references; no library path needs
 # them.  Unlike everything above, they may call the library: for its input
-# checks, its payoff table and its class rule.
+# checks, its site rule, its one-pass engine and its class rule.
 
 from capgames import goldmines, oracle
-from capgames.errors import DimensionMismatch, LengthMismatch, NonConformingInput
+from capgames.errors import (
+    DimensionMismatch,
+    LengthMismatch,
+    NonConformingInput,
+    OutOfRange,
+    ScaleLimitExceeded,
+)
+from capgames.game import _payoff_dtype, cell, ne_boxes
 from capgames.goldmines import GameParams, require_closed_form_regime
-from capgames.rationals import format_rational
+from capgames.rationals import format_rational, scaled, spell
 
 
 def parse_strategy(text):
@@ -360,11 +369,90 @@ def equal_capability_welfare(scale, rho, mu, cap):
     return sum(class_payoffs_by_fractions(p, 0))
 
 
+def table_bytes(scale):
+    """Size of the int64 payoff table over every strategy pair at ``scale``."""
+    return (2 ** (4 * scale)) ** 2 * 8
+
+
+def strategy_bits(scale):
+    """Every strategy at ``scale`` as a row of bits, in lexicographic order,
+    and its segment count.  Refuses a board whose strategy table would pass
+    ``oracle.MAX_TABLE_BYTES`` before anything is allocated."""
+    if scale < 1:
+        raise OutOfRange(f"scale must be at least 1, got {spell(scale)}")
+    # table_bytes(scale) is 2**(8*scale + 3): comparing exponents refuses a
+    # huge scale without building a huge integer
+    if 8 * scale + 3 >= oracle.MAX_TABLE_BYTES.bit_length():
+        # past M = 100 the estimate runs to hundreds of digits (and past
+        # M = 1,790 to more than str() converts), so give it as a power;
+        # a scale with more digits than that is named by its bits
+        size = table_bytes(scale) if scale <= 100 else f"2**{spell(8 * scale + 3)}"
+        raise ScaleLimitExceeded(
+            f"scale {spell(scale)} needs a {size}-byte payoff table, "
+            f"over the {oracle.MAX_TABLE_BYTES}-byte limit")
+    sites = 4 * scale
+    # row i holds the binary digits of i, most significant first
+    bits = (np.arange(2**sites)[:, None] >> np.arange(sites - 1, -1, -1)) & 1
+    segments = 1 + np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1)
+    return bits, segments
+
+
+class StrategyTable:
+    """Scaled-integer payoffs over every strategy pair at one (scale, rho,
+    mu): the slow reference for the class game of ``oracle.PayoffTable``.
+
+    ``ua[a, b]`` is player A's payoff times ``denominator`` when A plays
+    strategy index a and B plays b (lexicographic order); B's payoff is the
+    transposed entry, and ``segments[a]`` is strategy a's segment count.
+    """
+
+    def __init__(self, scale, rho, mu):
+        params = GameParams(scale, rho, mu, 1, 1)
+        scale, rho, mu = params.scale, params.rho, params.mu
+        bits, self.segments = strategy_bits(scale)
+        self.strategies = list(zip(*bits.T.tolist()))
+        sites = range(bits.shape[1])
+        cover = bits == [goldmines.resource_line(i, scale) for i in sites]
+        gold = np.array([goldmines.resource_type(i, scale) == goldmines.GOLD for i in sites])
+        golds, k = cover[:, gold], 2 * scale
+        (rho_scaled, mu_scaled), den = scaled((rho, mu))
+        self.denominator = den
+        bound = 2 * scale * (2 * den + abs(rho_scaled) + abs(mu_scaled))
+        count = np.arange(k + 1).astype(object)
+        value = (den * count[:, None, None] + mu_scaled * count[:, None]
+                 + (rho_scaled - den) * count).astype(_payoff_dtype(bound))
+        # B enters only through its gold set: by_set[a, G] is A's payoff
+        # against gold set G (bit i for the i-th gold); ua takes B's column
+        sets = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+        by_set = value[golds.sum(axis=1)[:, None], cover[:, ~gold].sum(axis=1)[:, None],
+                       golds @ sets.T]
+        self.ua = by_set.take(golds @ (1 << np.arange(k)), axis=1)
+
+    def payoff_pair(self, a, b):
+        den = self.denominator
+        return Fraction(int(self.ua[a, b]), den), Fraction(int(self.ua[b, a]), den)
+
+    @cached_property
+    def _boxes(self):
+        return ne_boxes((self.ua, self.ua.T), (self.segments, self.segments))
+
+    def pure_equilibria(self, cap_a, cap_b):
+        """Index pairs where neither player can improve inside their space,
+        in lexicographic order."""
+        top = int(self.segments.max())
+        return cell(self._boxes, (min(cap_a, top), min(cap_b, top)))
+
+
+# one reference table at a time: at M = 3 it holds 32 MB
+reference_table = lru_cache(maxsize=1)(StrategyTable)
+
+
 def enumerate_pure_equilibria(params, strict=False):
     """Every pure equilibrium of the capability-restricted game as strategy
-    pairs, in lexicographic profile order: the oracle's table lookup for the
-    "at most" spaces, ``pure_equilibria_by_cell`` for the exact-count ones."""
-    table = oracle._table(params.scale, params.rho, params.mu)
+    pairs, in lexicographic profile order, from the strategy-level reference
+    table: its one pass for the "at most" spaces, ``pure_equilibria_by_cell``
+    for the exact-count ones."""
+    table = reference_table(params.scale, params.rho, params.mu)
     if strict:
         pairs = pure_equilibria_by_cell(table, params.cap_a, params.cap_b, exact=True)
     else:

@@ -263,21 +263,39 @@ def test_ctf_verify_refuses_a_board_past_brute_force(capsys):
     tracemalloc.start()
     try:
         code, out, err = run(
-            capsys, "goldmines", "ctf", "--M", "4", "--rho", "1/2", "--mu", "-3/4",
+            capsys, "goldmines", "ctf", "--M", "6", "--rho", "1/2", "--mu", "-3/4",
             "--ca-max", "2", "--cb-max", "2", "--verify",
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (code, out) == (1, "")
-    assert err == ("capgames: scale 4 needs a 34359738368-byte payoff table, "
-                   "over the 1073741824-byte limit\n")
+    # 4**6 gold sets times 13 mine counts bound the classes: a 22.7 GB table
+    assert err == ("capgames: scale 6 may need up to 22725394432 bytes for its class "
+                   "table and DP, over the 1073741824-byte limit\n")
     assert peak < 1 << 20
     code, out, _ = run(
-        capsys, "goldmines", "ctf", "--M", "4", "--rho", "1/2", "--mu", "-3/4",
+        capsys, "goldmines", "ctf", "--M", "6", "--rho", "1/2", "--mu", "-3/4",
         "--ca-max", "2", "--cb-max", "2",
     )
     assert code == 0 and out.splitlines()[0].split() == ["cap_a", "cap_b", "payoffs"]
+
+
+@pytest.mark.parametrize("scale", [4, 5])
+def test_verify_answers_past_the_strategy_table(capsys, scale):
+    # the class game reaches M = 5; every cell of a grid at M = 4 and one
+    # cell at M = 5 match the closed form
+    board = ("--M", str(scale), "--rho", "1/4", "--mu", "-1/2")
+    if scale == 4:
+        code, out, _ = run(capsys, "goldmines", "ctf", *board,
+                           "--ca-max", "16", "--cb-max", "16", "--verify")
+        rows = out.splitlines()[1:]
+        assert code == 0 and len(rows) == 256
+        assert all(row.split()[-1] == "true" for row in rows)
+    code, out, _ = run(capsys, "goldmines", "verify", *board, "--ca", "7", "--cb", "9")
+    fields = dict(line.split(None, 1) for line in out.splitlines()[1:])
+    assert code == 0 and fields["match"] == "true"
+    assert int(fields["equilibria_found"]) >= 1
 
 
 def test_values_past_the_digits_str_converts_exit_1(capsys, tmp_path):
@@ -368,16 +386,19 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_table_byte_limit(capsys, monkeypatch):
-    # under a limit below the smallest table, M = 1 is past brute force:
-    # ctf --verify refuses it as verify does, with the same line
-    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(1) - 1)
+    # under a limit below the smallest class game, M = 1 is past brute force:
+    # ctf --verify refuses it as verify does, with the same line.  At M = 1
+    # the classes are at most 4 gold sets times 3 mine counts, so the table
+    # and the DP's two arrays may take 8 * 12 * (12 + 4 * 5) bytes
+    need = 3072
+    monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", need - 1)
     oracle._table.cache_clear()  # a cached table predates the lowered limit
     code, out, ctf_err = run(
         capsys, "goldmines", "ctf", "--M", "1", "--rho", "1/2", "--mu", "-3/4",
         "--ca-max", "1", "--cb-max", "1", "--verify",
     )
     assert (code, out) == (1, "")
-    assert str(oracle.table_bytes(1)) in ctf_err
+    assert f"up to {need} bytes" in ctf_err
 
     code, _, err = run(
         capsys, "goldmines", "verify", "--M", "1", "--rho", "1/2", "--mu", "-3/4",

@@ -19,6 +19,7 @@ from capgames.errors import (
 from capgames.goldmines import GameParams
 from capgames.oracle import PayoffTable, verify_closed_form
 from tests._support import (
+    StrategyTable,
     all_strategies,
     coverage_by_rule,
     enumerate_pure_equilibria,
@@ -26,6 +27,8 @@ from tests._support import (
     payoff_table_by_sites,
     pure_equilibria_by_cell,
     segments_of,
+    strategy_bits,
+    table_bytes,
     verify_strict_ne_coverage,
 )
 
@@ -36,28 +39,94 @@ def gm(scale, ca, cb, rho=F(1, 2), mu=F(-3, 4)):
     return GameParams(scale, rho, mu, ca, cb)
 
 
+def class_need(scale):
+    """The bytes the class game may take at ``scale``: a table over at most
+    one class per gold set and mine count, at int64 width, and the DP's two
+    int64 arrays of 2 * (4M + 1) entries per such class."""
+    bound = 4**scale * (2 * scale + 1)
+    return 8 * bound * bound + 2 * 8 * 2 * (4 * scale + 1) * bound
+
+
+def index_of(f):
+    """A strategy's row in the lexicographic order of every strategy."""
+    return int("".join(map(str, f)), 2)
+
+
+def classes_by_rule(scale):
+    """Every strategy grouped by (gold sites covered, mines covered), from
+    the covers-rule: {class: [(segments, strategy), ...]} in lexicographic
+    order of the strategies."""
+    groups = {}
+    for f in all_strategies(scale):
+        gold, mine = coverage_by_rule(f)
+        groups.setdefault((frozenset(gold), len(mine)), []).append((segments_of(f), f))
+    return groups
+
+
+def representative_by_rule(groups, f):
+    """The lexicographically first strategy with the fewest segments in
+    ``f``'s class."""
+    gold, mine = coverage_by_rule(f)
+    members = groups[(frozenset(gold), len(mine))]
+    fewest = min(n for n, _ in members)
+    return min(g for n, g in members if n == fewest)
+
+
 class TestEnumeration:
-    """The strategy rows and segment counts every payoff table is built on."""
+    """The strategy rows and segment counts of the reference table, and the
+    classes the class game is built on."""
 
     def test_cap_at_board_size_yields_every_strategy(self):
         for scale in (1, 2, 3):
-            bits, segments = oracle._strategy_bits(scale)
+            bits, segments = strategy_bits(scale)
             assert [tuple(row) for row in bits.tolist()] == all_strategies(scale)
             assert len(segments) == 2 ** (4 * scale)
             assert segments.max() == 4 * scale
-        assert PayoffTable(1, F(1, 2), F(-3, 4)).strategies == all_strategies(1)
+        assert StrategyTable(1, F(1, 2), F(-3, 4)).strategies == all_strategies(1)
 
     def test_lexicographic_order(self):
-        table = PayoffTable(1, F(1, 2), F(-3, 4))
+        table = StrategyTable(1, F(1, 2), F(-3, 4))
         out = [f for f, n in zip(table.strategies, table.segments) if n <= 2]
         assert out == sorted(out)
         assert out[0] == (0, 0, 0, 0)
+        # the class game orders its classes by their representatives
+        for scale in (1, 2, 3):
+            reps = PayoffTable(scale, F(1, 2), F(-3, 4)).strategies
+            assert reps == sorted(set(reps))
 
-    # M = 3 is the largest board the payoff-table limit admits; caps run
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_classes_match_a_grouping_by_the_covers_rule(self, scale):
+        table = PayoffTable(scale, F(1, 4), F(-1, 2))
+        groups = classes_by_rule(scale)
+        level = {key: min(n for n, _ in members) for key, members in groups.items()}
+        # a class is kept exactly when no class of its gold set with fewer
+        # mines is open at its level
+        kept = {(gold, mines) for gold, mines in groups
+                if all(level[(gold, m)] > level[(gold, mines)]
+                       for m in range(mines) if (gold, m) in level)}
+        assert len(table.strategies) == len(kept)
+        for a, rep in enumerate(table.strategies):
+            gold, mine = coverage_by_rule(rep)
+            key = (frozenset(gold), len(mine))
+            assert key in kept
+            assert table.segments[a] == level[key] == segments_of(rep)
+            assert rep == representative_by_rule(groups, rep)
+            for cap in range(4 * scale + 1):
+                assert table.mult[cap, a] == sum(n <= cap for n, _ in groups[key])
+
+    def test_levels_are_gap_free(self):
+        # ne_boxes needs every level from 1 to the top to hold a class
+        for scale in range(1, 6):
+            table = PayoffTable(scale, F(1, 4), F(-1, 2))
+            assert set(table.segments.tolist()) == set(range(1, 4 * scale + 1))
+            assert len(table.mult) == 4 * scale + 1
+            assert table.mult[-1].sum() <= 2 ** (4 * scale)
+
+    # M = 3 is the largest board the strategy table's limit admits; caps run
     # one past the most segments a strategy can have
     @pytest.mark.parametrize("scale,top_cap", [(2, 8), (3, 13)])
     def test_strict_spaces_partition_the_loose_one(self, scale, top_cap):
-        bits, segments = oracle._strategy_bits(scale)
+        bits, segments = strategy_bits(scale)
         rows = [tuple(row) for row in bits.tolist()]
         every = [(f, segments_of(f)) for f in all_strategies(scale)]
         for cap in range(1, top_cap + 1):
@@ -71,21 +140,23 @@ class TestEnumeration:
 
     def test_bounds(self, monkeypatch):
         with pytest.raises(ScaleLimitExceeded):
-            oracle._strategy_bits(4)
+            strategy_bits(4)
         with pytest.raises(OutOfRange):
-            oracle._strategy_bits(0)
-        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(1) - 1)
-        with pytest.raises(ScaleLimitExceeded, match=str(oracle.table_bytes(1))):
-            oracle._strategy_bits(1)
+            strategy_bits(0)
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", table_bytes(1) - 1)
+        with pytest.raises(ScaleLimitExceeded, match=str(table_bytes(1))):
+            strategy_bits(1)
 
 
 class TestPayoffTable:
+    """The class game's table, checked on its classes' representatives."""
+
     def test_every_entry_matches_the_direct_rule_on_the_unit_board(self):
         p = gm(1, 4, 4)
-        table = PayoffTable(1, p.rho, p.mu)
-        for a, fa in enumerate(table.strategies):
-            for b, fb in enumerate(table.strategies):
-                assert table.payoff_pair(a, b) == goldmines.payoff(fa, fb, p)
+        for table in (PayoffTable(1, p.rho, p.mu), StrategyTable(1, p.rho, p.mu)):
+            for a, fa in enumerate(table.strategies):
+                for b, fb in enumerate(table.strategies):
+                    assert table.payoff_pair(a, b) == goldmines.payoff(fa, fb, p)
 
     def test_sampled_entries_match_on_the_two_block_board(self):
         p = gm(2, 8, 8, F(3, 5), F(-7, 10))
@@ -104,12 +175,19 @@ class TestPayoffTable:
             assert table.segments[idx] == segments_of(f)
 
     def test_size_estimate(self):
-        assert oracle.table_bytes(3) == 134_217_728
-        assert oracle.table_bytes(4) == 34_359_738_368
-        assert oracle.table_bytes(3) <= oracle.MAX_TABLE_BYTES < oracle.table_bytes(4)
-        assert oracle._strategy_bits(3)[0].shape == (2**12, 12)
+        # the strategy table: M = 3 fits the limit, M = 4 does not
+        assert table_bytes(3) == 134_217_728
+        assert table_bytes(4) == 34_359_738_368
+        assert table_bytes(3) <= oracle.MAX_TABLE_BYTES < table_bytes(4)
+        assert strategy_bits(3)[0].shape == (2**12, 12)
         with pytest.raises(ScaleLimitExceeded):
-            oracle._strategy_bits(4)
+            strategy_bits(4)
+        # the class game: M = 5 fits, M = 6 does not
+        assert class_need(5) == 1_022_590_976
+        assert class_need(6) == 22_725_394_432
+        assert class_need(5) <= oracle.MAX_TABLE_BYTES < class_need(6)
+        with pytest.raises(ScaleLimitExceeded, match=f"up to {class_need(6)} bytes"):
+            PayoffTable(6, F(1, 4), F(-1, 2))
 
     # a direct payoff one off for one player; the table must notice either
     @pytest.mark.parametrize("player,reason", [(0, "disagrees"), (1, "asymmetry")])
@@ -126,11 +204,11 @@ class TestPayoffTable:
             PayoffTable(1, F(1, 2), F(-3, 4))
 
     def test_checks_its_parameters_before_it_allocates(self):
-        # a rho of 2 at M = 3 is refused before its 51.5 MB table is built
+        # a rho of 2 at M = 5 is refused before its 52 MB table is built
         tracemalloc.start()
         try:
             with pytest.raises(HypothesisViolation):
-                PayoffTable(3, F(2), F(-1, 2))
+                PayoffTable(5, F(2), F(-1, 2))
             with pytest.raises(GameFormatError):
                 PayoffTable(1, 0.5, F(-3, 4))
             with pytest.raises(OutOfRange):
@@ -141,25 +219,39 @@ class TestPayoffTable:
         assert peak < 1_000_000
 
     def test_refuses_a_table_over_the_byte_limit(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", oracle.table_bytes(2) - 1)
-        with pytest.raises(ScaleLimitExceeded, match=str(oracle.table_bytes(2))):
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", class_need(2) - 1)
+        with pytest.raises(ScaleLimitExceeded, match=f"up to {class_need(2)} bytes"):
             PayoffTable(2, F(1, 2), F(-3, 4))
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", class_need(2))
+        assert len(PayoffTable(2, F(1, 2), F(-3, 4)).strategies) == 44
 
     def test_refuses_a_huge_board_without_building_its_size(self):
-        # 2**(8M + 3) bytes: at M = 2000 its digits pass the str() limit, at
-        # M = 10**9 the integer alone would take a gigabyte
-        for scale in (2000, 10**9):
-            with pytest.raises(ScaleLimitExceeded, match=rf"2\*\*{8 * scale + 3}-byte"):
-                oracle._strategy_bits(scale)
-        # past the digits str() converts, the scale is named by its bits
-        huge = 10**5000
-        with pytest.raises(ScaleLimitExceeded, match=f"scale <{huge.bit_length()}-bit integer>"):
-            oracle._strategy_bits(huge)
-        with pytest.raises(ScaleLimitExceeded, match=f"scale <{huge.bit_length()}-bit integer>"):
-            verify_closed_form(GameParams(huge, F(1, 2), F(-3, 4), 1, 1))
+        # at least 2**(4M + 3) bytes: at M = 2000 the bound's digits pass the
+        # str() limit, at M = 10**9 the integer alone would take 500 MB
+        tracemalloc.start()
+        try:
+            for scale in (2000, 10**9):
+                with pytest.raises(ScaleLimitExceeded,
+                                   match=rf"2\*\*{4 * scale + 3} or more bytes"):
+                    PayoffTable(scale, F(1, 2), F(-3, 4))
+            # past the digits str() converts, the scale is named by its bits
+            huge = 10**5000
+            with pytest.raises(ScaleLimitExceeded,
+                               match=f"scale <{huge.bit_length()}-bit integer>"):
+                PayoffTable(huge, F(1, 2), F(-3, 4))
+            with pytest.raises(ScaleLimitExceeded,
+                               match=f"scale <{huge.bit_length()}-bit integer>"):
+                verify_closed_form(GameParams(huge, F(1, 2), F(-3, 4), 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestOnePass:
+    """The engine's one pass over the class game, against a per-cell check
+    of the same table."""
+
     @settings(max_examples=25, deadline=None)
     @given(
         scale=st.sampled_from([1, 2]),
@@ -177,8 +269,7 @@ class TestOnePass:
 
     def test_matches_the_per_cell_check_on_the_three_block_board(self):
         table = PayoffTable(3, F(1, 2), F(-3, 4))
-        cells = {(1, 8), (8, 1)} | {(k, k) for k in range(1, 9)}
-        for ca, cb in sorted(cells):
+        for ca, cb in product(range(1, 15), repeat=2):
             assert table.pure_equilibria(ca, cb) == \
                 pure_equilibria_by_cell(table, ca, cb)
 
@@ -211,15 +302,20 @@ class TestOnePass:
         (2, F(1, 3**40), F(-1, 2)),
     ])
     def test_every_entry_matches_a_count_by_gold_site(self, scale, rho, mu):
+        by_sites = payoff_table_by_sites(scale, rho, mu)
+        assert np.array_equal(StrategyTable(scale, rho, mu).ua, by_sites)
+        # the class table is the strategy table's rows and columns at the
+        # classes' representatives
         table = PayoffTable(scale, rho, mu)
-        assert np.array_equal(table.ua, payoff_table_by_sites(scale, rho, mu))
+        rows = [index_of(f) for f in table.strategies]
+        assert np.array_equal(table.ua, by_sites[np.ix_(rows, rows)])
 
     def test_build_and_pass_stay_within_the_table_estimate(self):
-        # the int16 table at M = 3 is 32 MB; the build and the pass may add
-        # half as much again
+        # the int16 table at M = 5 is 52 MB; the DP, the build and the pass
+        # may add half as much again
         tracemalloc.start()
         try:
-            table = PayoffTable(3, F(1, 3), F(-1, 2))
+            table = PayoffTable(5, F(1, 3), F(-1, 2))
             table.pure_equilibria(1, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -227,16 +323,66 @@ class TestOnePass:
         assert peak <= 1.5 * table.ua.nbytes
 
     def test_a_python_integer_table_shares_its_integers(self):
-        # each entry refers to one of at most 5**3 integers, so the 65,536
+        # each entry refers to one of at most 7**3 integers, so the 50,176
         # entries cost a pointer apiece rather than a 6,341-bit integer each
         rho = F(1, 3**4000)
         tracemalloc.start()
         try:
-            PayoffTable(2, rho, F(-1, 2)).pure_equilibria(1, 1)
+            PayoffTable(3, rho, F(-1, 2)).pure_equilibria(1, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def observed_by_reference(table, ca, cb):
+    """(equilibria, payoff set) of one cell of a ``StrategyTable``."""
+    pairs = table.pure_equilibria(ca, cb)
+    return len(pairs), {table.payoff_pair(a, b) for a, b in pairs}
+
+
+def observed_by_classes(table, ca, cb):
+    """(strategy pairs the class pairs stand for, payoff set) of one cell of
+    the class game."""
+    top = len(table.mult) - 1
+    pairs = table.pure_equilibria(ca, cb)
+    count = sum(int(table.mult[min(ca, top), a]) * int(table.mult[min(cb, top), b])
+                for a, b in pairs)
+    return count, {table.payoff_pair(a, b) for a, b in pairs}
+
+
+class TestClassGame:
+    """The class game against the strategy-level reference, in and out of
+    the closed-form regime, and against the closed form past it."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        scale=st.sampled_from([1, 2, 3]),
+        rho=st.fractions(0, 1, max_denominator=12).filter(lambda r: 0 < r < 1),
+        mu=st.fractions(-3, 0, max_denominator=12).filter(lambda m: m < 0),
+    )
+    @example(scale=3, rho=F(1, 4), mu=F(-1, 2))  # inside the closed-form regime
+    @example(scale=3, rho=F(1, 2), mu=F(-1, 2))  # on its edge: rho = -mu
+    @example(scale=3, rho=F(3, 4), mu=F(-1, 4))  # outside it: -mu < rho
+    @example(scale=3, rho=F(1, 3), mu=F(-5, 2))  # outside it: mu < -1
+    def test_every_cell_matches_the_strategy_table(self, scale, rho, mu):
+        classes, strategies = PayoffTable(scale, rho, mu), StrategyTable(scale, rho, mu)
+        # capabilities past the largest segment count (4 * scale) included
+        for ca, cb in product(range(1, 4 * scale + 3), repeat=2):
+            assert observed_by_classes(classes, ca, cb) == \
+                observed_by_reference(strategies, ca, cb), (ca, cb)
+
+    @pytest.mark.parametrize("rho,mu", [(F(1, 4), F(-1, 2)), (F(1, 2), F(-3, 4))])
+    def test_every_cell_at_m3_matches_the_closed_form(self, rho, mu):
+        for ca, cb in product(range(1, 15), repeat=2):
+            report = verify_closed_form(gm(3, ca, cb, rho, mu))
+            assert report.match, report
+
+    def test_every_cell_at_m4_matches_the_closed_form(self):
+        for ca, cb in product(range(1, 17), repeat=2):
+            report = verify_closed_form(gm(4, ca, cb, F(1, 4), F(-1, 2)))
+            assert report.match, report
+            assert report.equilibria_found >= len(report.observed) >= 1
 
 
 class TestEquilibriumSweep:
@@ -314,16 +460,24 @@ class TestVerification:
         assert isinstance(d["equilibria_found"], int)
 
     def test_counterexamples_are_the_first_equilibria_off_the_prediction(self, monkeypatch):
-        # all 12 equilibria of this cell pay (5/4, 5/4), so under a wrong
-        # prediction each is a counterexample and the first 10 are kept
+        # all 12 equilibria of this cell pay (5/4, 5/4), each in a class pair
+        # of its own, so under a wrong prediction each class pair is a
+        # counterexample, named by its classes' representatives in
+        # lexicographic order, and the first 10 are kept
         p = gm(2, 3, 3)
         found = [(pair, goldmines.payoff(*pair, p)) for pair in enumerate_pure_equilibria(p)]
+        groups = classes_by_rule(2)
+        by_class = sorted({((representative_by_rule(groups, fa),
+                             representative_by_rule(groups, fb)), value)
+                           for (fa, fb), value in found})
         monkeypatch.setattr(goldmines, "equilibrium_payoffs",
                             lambda params: frozenset({(F(0), F(0))}))
         report = verify_closed_form(p)
         assert not report.match
         assert report.equilibria_found == len(found) == 12
-        assert list(report.counterexamples) == found[:10]
+        assert len(by_class) == 12
+        assert list(report.counterexamples) == by_class[:10]
+        assert set(report.counterexamples) <= set(found)
 
     def test_cache_holds_one_table(self):
         verify_closed_form(gm(2, 1, 1))
@@ -336,7 +490,9 @@ class TestVerification:
 
     def test_scale_guard(self):
         with pytest.raises(ScaleLimitExceeded):
-            verify_closed_form(gm(4, 1, 1))
+            verify_closed_form(gm(6, 1, 1))
+        for scale in (4, 5):
+            assert verify_closed_form(gm(scale, 2, 3)).match
 
 
 class TestStrictCoverage:

@@ -65,12 +65,14 @@ PUBLIC_API = [
 ]
 
 # names the library no longer carries; tests/_support.py keeps each one
+# (the oracle's strategy rows as ``strategy_bits``)
 REMOVED = {
     goldmines: ["parse_strategy", "is_complete_gold_coverage",
                 "admissible_start_lines", "equal_capability_welfare"],
     bimatrix: ["expected_payoff", "is_mixed_ne", "_check_distribution"],
     gamefile: ["game_to_json"],
-    oracle: ["enumerate_pure_equilibria", "verify_strict_ne_coverage"],
+    oracle: ["enumerate_pure_equilibria", "verify_strict_ne_coverage",
+             "_strategy_bits", "table_bytes"],
 }
 
 
