@@ -4,21 +4,26 @@ Every candidate support pair of equal size induces square indifference
 systems that are solved over the rationals, so the equilibria (and the
 degeneracy verdicts) are exact.  Unequal-support equilibria only occur in
 degenerate games, and there only basic solutions are reported, never whole
-continua.  The degenerate flag covers a singular system or a zero support
-weight only: a best reply outside the support that ties is not flagged, so
-a continuum can go unmarked.
+continua.  The first ``ctf_mixed`` call on a game solves each support pair
+of the game once and keeps its box of capability cells; later calls read
+their cell from the boxes.  The degenerate flag covers a singular system or
+a zero support weight only: a best reply outside the support that ties is
+not flagged, so a continuum can go unmarked.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import numpy as np
+
 from .errors import DimensionMismatch, GameFormatError, NotTwoPlayer, SizeLimitExceeded
-from .game import CapabilityGame, restricted_sizes
+from .game import CapabilityGame, _checked, cell
 from .rationals import as_fraction, scaled
 
 DEFAULT_MAX_ACTIONS = 8
@@ -112,36 +117,61 @@ def _solve(rows: list[list[int]], nvars: int):
     return solution, ("unique" if len(pivots) == nvars else "degenerate")
 
 
-def _reply(lines, own: tuple[int, ...], other: tuple[int, ...]):
-    """The mix over ``other`` that makes every line in ``own`` pay the same,
-    as ``(weights, value, degenerate)``; None if it is no probability vector
-    or some line pays more than ``value`` against it.
-
-    ``lines`` holds ``rationals.scaled`` of each row of A (solving for y,
-    ``own`` = support rows) or of each column of B (solving for x, ``own`` =
-    support columns).  Scaling an equation leaves its solutions alone, so
-    each line's scale multiplies its -1 on the value variable, and the reply
-    check runs in integers.  ``degenerate``: a singular system or a 0 weight.
-    """
-    r = len(other)
-    system = [[lines[i][0][j] for j in other] + [-lines[i][1], 0] for i in own]
-    system.append([1] * r + [0, 1])
-    solution, status = _solve(system, r + 1)
-    if status == "inconsistent" or any(w < 0 for w in solution[:r]):
-        return None
-    *weights, value = solution
-    (target, *mix), _ = scaled([value, *weights])
-    if any(sum(line[j] * w for j, w in zip(other, mix)) > scale * target
-           for line, scale in lines):
-        return None
-    return weights, value, status == "degenerate" or 0 in weights
-
-
 def _embed(weights: list[Fraction], support: tuple[int, ...], size: int) -> tuple[Fraction, ...]:
     full = [Fraction(0)] * size
     for w, idx in zip(weights, support):
         full[idx] = w
     return tuple(full)
+
+
+def _support_pairs(game: Bimatrix, cutoffs: tuple[Sequence[int], Sequence[int]]):
+    """Each equal-size support pair (R, C) that is an equilibrium at some
+    capability cell, in support-bitmask order, as ``(x, y, values,
+    degenerate, lo, hi)``: the point, its flag, and its box of the levels
+    that ``cutoffs`` (a chain over the rows, one over the columns; ``((m,),
+    (k,))`` for one level per side) give.  The indifference systems depend
+    only on the supports, so the pair is an equilibrium at (ca, cb) exactly
+    when ``lo <= (ca, cb) <= hi``: ``lo`` holds the levels of R's last row
+    and C's last column, ``hi`` ends just below the level of the first row
+    (column) that strictly beats the value.  The systems run on ``scaled``
+    rows of A (for y) and columns of B (for x): scaling an equation leaves
+    its solutions alone, so each line's scale multiplies its -1 on the value
+    variable, and the beat check runs in integers.
+    """
+    m, k = game.shape
+    # each line's level, and past the last line the level that no line beats
+    sides = [(lines, [bisect_right(chain, i) + 1 for i in range(len(lines) + 1)])
+             for lines, chain in zip(([scaled(row) for row in game.a],
+                                      [scaled(col) for col in zip(*game.b)]), cutoffs)]
+    for size in range(1, min(m, k) + 1):
+        for rows in combinations(range(m), size):
+            for cols in combinations(range(k), size):
+                # indifference makes x'Ay = u and x'By = v, so the two beat checks
+                # are the equilibrium test; x waits until y holds at the lowest cell
+                replies = []
+                for (lines, level), own, other in zip(sides, (rows, cols), (cols, rows)):
+                    system = [[lines[i][0][j] for j in other] + [-lines[i][1], 0] for i in own]
+                    system.append([1] * size + [0, 1])
+                    solution, status = _solve(system, size + 1)
+                    if status == "inconsistent" or any(w < 0 for w in solution[:size]):
+                        break
+                    *weights, value = solution
+                    (target, *mix), _ = scaled([value, *weights])
+                    beat = next((i for i, (line, scale) in enumerate(lines) if sum(
+                        line[j] * w for j, w in zip(other, mix)) > scale * target), len(lines))
+                    if level[beat] <= level[own[-1]]:
+                        break
+                    replies.append((weights, value, status == "degenerate" or 0 in weights,
+                                    level[own[-1]], level[beat] - 1))
+                else:
+                    (ys, u, y_flag, lo_a, hi_a), (xs, v, x_flag, lo_b, hi_b) = replies
+                    yield (_embed(xs, rows, m), _embed(ys, cols, k), (u, v), x_flag or y_flag,
+                           (lo_a, lo_b), (hi_a, hi_b))
+
+
+def _within_bound(m: int, k: int) -> None:
+    if m > DEFAULT_MAX_ACTIONS or k > DEFAULT_MAX_ACTIONS:
+        raise SizeLimitExceeded(f"{m}x{k} exceeds the {DEFAULT_MAX_ACTIONS}-action bound")
 
 
 def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
@@ -154,25 +184,11 @@ def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
     a best reply outside the support.
     """
     m, k = game.shape
-    if m > DEFAULT_MAX_ACTIONS or k > DEFAULT_MAX_ACTIONS:
-        raise SizeLimitExceeded(f"{m}x{k} exceeds the {DEFAULT_MAX_ACTIONS}-action bound")
-    a_rows = [scaled(row) for row in game.a]
-    b_cols = [scaled(col) for col in zip(*game.b)]
+    _within_bound(m, k)
     found: dict[tuple, MixedEquilibrium] = {}
-    for size in range(1, min(m, k) + 1):
-        for rows in combinations(range(m), size):
-            for cols in combinations(range(k), size):
-                # the indifference equations make x'Ay = u and x'By = v, so
-                # the two reply checks together are the equilibrium test; y
-                # comes first, so x is solved for fewer pairs
-                y_reply = _reply(a_rows, rows, cols)
-                x_reply = _reply(b_cols, cols, rows) if y_reply else None
-                if x_reply is None:
-                    continue
-                (ys, u, y_degenerate), (xs, v, x_degenerate) = y_reply, x_reply
-                x, y = _embed(xs, rows, m), _embed(ys, cols, k)
-                # supports grow, so a point met again has a zero weight, which _reply flags
-                found[x, y] = MixedEquilibrium(x, y, (u, v), x_degenerate or y_degenerate)
+    for x, y, values, degenerate, _, _ in _support_pairs(game, ((m,), (k,))):
+        # supports grow, so a point met again has a zero weight, which is flagged
+        found[x, y] = MixedEquilibrium(x, y, values, degenerate)
     return list(found.values())
 
 
@@ -184,21 +200,35 @@ class MixedCtf:
     degenerate: bool
 
 
-def restrict_to_bimatrix(game: CapabilityGame, capability: Sequence[int]) -> Bimatrix:
-    """Restricted payoff matrices of a two-player capability game."""
+def _two_player_cell(game: CapabilityGame, capability: Sequence[int]):
+    """``capability`` checked, and the space sizes it gives, in a two-player game."""
     if game.n_players != 2:
         raise NotTwoPlayer(f"mixed analysis needs 2 players, got {game.n_players}")
-    ra, rb = restricted_sizes(game, capability)
-    a = tuple(tuple(game.payoffs[i, j][0] for j in range(rb)) for i in range(ra))
-    b = tuple(tuple(game.payoffs[i, j][1] for j in range(rb)) for i in range(ra))
+    return _checked(game, capability)
+
+
+def restrict_to_bimatrix(game: CapabilityGame, capability: Sequence[int]) -> Bimatrix:
+    """Restricted payoff matrices of a two-player capability game."""
+    _, (ra, rb) = _two_player_cell(game, capability)
+    a, b = ([[game.payoffs[i, j][p] for j in range(rb)] for i in range(ra)] for p in (0, 1))
     return Bimatrix(a, b)
 
 
+def _pair_boxes(game: CapabilityGame):
+    """``(boxes, values, degenerate)`` of a two-player game's top-left subgame within
+    the action bound: ``cell`` reads pair indices, each list is indexed by pair."""
+    chains = [[c for c in chain if c <= DEFAULT_MAX_ACTIONS] for chain in game.cutoffs]
+    pairs = list(_support_pairs(restrict_to_bimatrix(game, list(map(len, chains))), chains))
+    lo, hi = (np.array([p[i] for p in pairs], dtype=int).reshape(-1, 2) for i in (4, 5))
+    return (np.arange(len(pairs))[:, None], lo, hi), [p[2] for p in pairs], [p[3] for p in pairs]
+
+
 def ctf_mixed(game: CapabilityGame, capability: Sequence[int]) -> MixedCtf:
-    """Mixed capability transfer function of a two-player game at one profile."""
-    restricted = restrict_to_bimatrix(game, capability)
-    equilibria = support_enumeration(restricted)
-    return MixedCtf(
-        frozenset(e.values for e in equilibria),
-        any(e.degenerate for e in equilibria),
-    )
+    """Mixed capability transfer function of a two-player game at one profile.
+    The first call on a game solves each support pair of the game once and
+    keeps its box; each call then reads its cell from the boxes."""
+    capability, sizes = _two_player_cell(game, capability)
+    _within_bound(*sizes)
+    boxes, values, degenerate = game._pair_boxes
+    inside = [i for i, in cell(boxes, capability)]
+    return MixedCtf(frozenset(values[i] for i in inside), any(degenerate[i] for i in inside))

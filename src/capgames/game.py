@@ -161,6 +161,13 @@ class CapabilityGame:
                   for k, chain in zip(counts, self.cutoffs)]
         return ne_boxes(utilities, levels)
 
+    @cached_property
+    def _pair_boxes(self):
+        """``bimatrix._pair_boxes`` over this two-player game, computed on
+        first use."""
+        from .bimatrix import _pair_boxes  # bimatrix imports this module
+        return _pair_boxes(self)
+
 
 def _payoff_dtype(bound: int):
     """Narrowest integer dtype holding every value up to ``bound`` in

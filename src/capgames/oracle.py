@@ -106,13 +106,16 @@ class PayoffTable:
         count = np.arange(2 * scale + 1).astype(object)
         value = (den * count[:, None, None] + mu_scaled * count[:, None]
                  + (rho_scaled - den) * count).astype(_payoff_dtype(bound))
-        # 512 rows at a time, gather from value by the shared-gold counts
-        # |G_a & G_b| <= 2M, in uint8: no temporary holds more than a block
-        golds = ((sets[:, None] >> np.arange(2 * scale)) & 1).astype(np.uint8)
-        g, n = golds.sum(axis=1), len(sets)
+        # 128 rows at a time, gather from value by the shared-gold counts
+        # |G_a & G_b| <= 2M, read from a table of each gold set's popcount:
+        # the block's int64 gold sets are the largest temporary, 5 MB at M = 5
+        popcount = np.zeros(4**scale, np.uint8)
+        for bit in range(2 * scale):
+            popcount[1 << bit:2 << bit] = popcount[:1 << bit] + 1
+        g, n = popcount[sets], len(sets)
         self.ua = np.empty((n, n), value.dtype)
-        for r in (slice(lo, lo + 512) for lo in range(0, n, 512)):
-            self.ua[r] = value[g[r, None], mines[r, None], golds[r] @ golds.T]
+        for r in (slice(lo, lo + 128) for lo in range(0, n, 128)):
+            self.ua[r] = value[g[r, None], mines[r, None], popcount[sets[r, None] & sets]]
         self._self_check()
 
     def _self_check(self) -> None:

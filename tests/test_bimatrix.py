@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capgames import bimatrix
 from capgames import (
     Bimatrix,
     CapabilityGame,
@@ -209,6 +211,8 @@ def test_restriction_to_bimatrix():
     )
     with pytest.raises(NotTwoPlayer):
         restrict_to_bimatrix(three, (1, 1, 1))
+    with pytest.raises(NotTwoPlayer):
+        ctf_mixed(three, (1, 1, 1))
 
 
 def test_mixed_ctf_agrees_with_pure_on_the_shrinking_example():
@@ -240,3 +244,40 @@ def test_mixed_ctf_includes_strictly_mixed_points():
     )
     assert ctf_pure(pennies_game, (1, 1)) == frozenset()
     assert ctf_mixed(pennies_game, (1, 1)).payoffs == frozenset({(0, 0)})
+
+
+def test_ctf_mixed_answers_each_cell_within_the_bound_and_refuses_the_rest():
+    # a tie-heavy 10x10 game: the cells within the 8-action bound are read
+    # from the boxes of its top-left 8x8 subgame, the others are refused
+    rng = random.Random(2210)
+    a, b = ([[rng.randint(0, 3) for _ in range(10)] for _ in range(10)] for _ in range(2))
+    cutoffs = (4, 8, 10)
+    game = CapabilityGame.from_matrices(a, b, cutoffs, cutoffs)
+    for caps in product((1, 2, 3), repeat=2):
+        ra, rb = (cutoffs[c - 1] for c in caps)
+        if max(ra, rb) > 8:
+            with pytest.raises(SizeLimitExceeded,
+                               match=re.escape(f"{ra}x{rb} exceeds the 8-action bound")):
+                ctf_mixed(game, caps)
+            continue
+        reference = support_enumeration(restrict_to_bimatrix(game, caps))
+        assert ctf_mixed(game, caps) == MixedCtf(
+            frozenset(eq.values for eq in reference),
+            any(eq.degenerate for eq in reference)), caps
+
+
+def test_the_grid_solves_each_support_pair_of_the_game_at_most_once(monkeypatch):
+    rng = random.Random(923)
+    a, b = ([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)] for _ in range(2))
+    game = CapabilityGame.from_matrices(a, b, (2, 4, 6), (2, 4, 6))
+    solve, calls = bimatrix._solve, []
+    monkeypatch.setattr(bimatrix, "_solve", lambda *args: calls.append(args) or solve(*args))
+    cells = list(product((1, 2, 3), repeat=2))
+    for caps in cells:
+        ctf_mixed(game, caps)
+    # the full game has sum C(6, s)**2 = 923 support pairs, two systems each
+    assert 0 < len(calls) <= 2 * 923
+    calls.clear()
+    for caps in cells:
+        ctf_mixed(game, caps)
+    assert calls == []
