@@ -1,19 +1,18 @@
 """Exact mixed Nash equilibria of two-player games by support enumeration.
 
 Every candidate support pair of equal size induces square indifference
-systems that are solved over the rationals, so the equilibria (and the
-degeneracy verdicts) are exact.  Unequal-support equilibria only occur in
-degenerate games, and there only basic solutions are reported, never whole
-continua.  The first ``ctf_mixed`` call on a game solves each support pair
-of the game once and keeps its box of capability cells; later calls read
-their cell from the boxes.  The degenerate flag covers a singular system or
-a zero support weight only: a best reply outside the support that ties is
-not flagged, so a continuum can go unmarked.
+systems over the game's integer form, the one the pure engine reads, so the
+equilibria (and the degeneracy verdicts) are exact.  Unequal-support
+equilibria only occur in degenerate games, and there only basic solutions
+are reported, never whole continua.  The first ``ctf_mixed`` call on a game
+solves each support pair of the game once and keeps its box of capability
+cells; later calls read their cell from the boxes.  The degenerate flag
+covers a singular system or a zero support weight only: a best reply outside
+the support that ties is not flagged, so a continuum can go unmarked.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from .errors import DimensionMismatch, GameFormatError, NotTwoPlayer, SizeLimitExceeded
-from .game import CapabilityGame, _checked, cell
+from .game import Boxes, CapabilityGame, _checked, cell
 from .rationals import as_fraction, scaled
 
 DEFAULT_MAX_ACTIONS = 8
@@ -124,51 +123,6 @@ def _embed(weights: list[Fraction], support: tuple[int, ...], size: int) -> tupl
     return tuple(full)
 
 
-def _support_pairs(game: Bimatrix, cutoffs: tuple[Sequence[int], Sequence[int]]):
-    """Each equal-size support pair (R, C) that is an equilibrium at some
-    capability cell, in support-bitmask order, as ``(x, y, values,
-    degenerate, lo, hi)``: the point, its flag, and its box of the levels
-    that ``cutoffs`` (a chain over the rows, one over the columns; ``((m,),
-    (k,))`` for one level per side) give.  The indifference systems depend
-    only on the supports, so the pair is an equilibrium at (ca, cb) exactly
-    when ``lo <= (ca, cb) <= hi``: ``lo`` holds the levels of R's last row
-    and C's last column, ``hi`` ends just below the level of the first row
-    (column) that strictly beats the value.  The systems run on ``scaled``
-    rows of A (for y) and columns of B (for x): scaling an equation leaves
-    its solutions alone, so each line's scale multiplies its -1 on the value
-    variable, and the beat check runs in integers.
-    """
-    m, k = game.shape
-    # each line's level, and past the last line the level that no line beats
-    sides = [(lines, [bisect_right(chain, i) + 1 for i in range(len(lines) + 1)])
-             for lines, chain in zip(([scaled(row) for row in game.a],
-                                      [scaled(col) for col in zip(*game.b)]), cutoffs)]
-    for size in range(1, min(m, k) + 1):
-        for rows in combinations(range(m), size):
-            for cols in combinations(range(k), size):
-                # indifference makes x'Ay = u and x'By = v, so the two beat checks
-                # are the equilibrium test; x waits until y holds at the lowest cell
-                replies = []
-                for (lines, level), own, other in zip(sides, (rows, cols), (cols, rows)):
-                    system = [[lines[i][0][j] for j in other] + [-lines[i][1], 0] for i in own]
-                    system.append([1] * size + [0, 1])
-                    solution, status = _solve(system, size + 1)
-                    if status == "inconsistent" or any(w < 0 for w in solution[:size]):
-                        break
-                    *weights, value = solution
-                    (target, *mix), _ = scaled([value, *weights])
-                    beat = next((i for i, (line, scale) in enumerate(lines) if sum(
-                        line[j] * w for j, w in zip(other, mix)) > scale * target), len(lines))
-                    if level[beat] <= level[own[-1]]:
-                        break
-                    replies.append((weights, value, status == "degenerate" or 0 in weights,
-                                    level[own[-1]], level[beat] - 1))
-                else:
-                    (ys, u, y_flag, lo_a, hi_a), (xs, v, x_flag, lo_b, hi_b) = replies
-                    yield (_embed(xs, rows, m), _embed(ys, cols, k), (u, v), x_flag or y_flag,
-                           (lo_a, lo_b), (hi_a, hi_b))
-
-
 def _within_bound(m: int, k: int) -> None:
     if m > DEFAULT_MAX_ACTIONS or k > DEFAULT_MAX_ACTIONS:
         raise SizeLimitExceeded(f"{m}x{k} exceeds the {DEFAULT_MAX_ACTIONS}-action bound")
@@ -183,13 +137,10 @@ def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
     a singular indifference system or a zero support weight, not a tie with
     a best reply outside the support.
     """
-    m, k = game.shape
-    _within_bound(m, k)
-    found: dict[tuple, MixedEquilibrium] = {}
-    for x, y, values, degenerate, _, _ in _support_pairs(game, ((m,), (k,))):
-        # supports grow, so a point met again has a zero weight, which is flagged
-        found[x, y] = MixedEquilibrium(x, y, values, degenerate)
-    return list(found.values())
+    _within_bound(*game.shape)
+    points, _ = _pair_boxes(CapabilityGame.from_matrices(game.a, game.b))
+    # supports grow, so a point met again has a zero weight, which is flagged
+    return list({(p.x, p.y): p for p in points}.values())
 
 
 @dataclass(frozen=True)
@@ -214,13 +165,54 @@ def restrict_to_bimatrix(game: CapabilityGame, capability: Sequence[int]) -> Bim
     return Bimatrix(a, b)
 
 
-def _pair_boxes(game: CapabilityGame):
-    """``(boxes, values, degenerate)`` of a two-player game's top-left subgame within
-    the action bound: ``cell`` reads pair indices, each list is indexed by pair."""
-    chains = [[c for c in chain if c <= DEFAULT_MAX_ACTIONS] for chain in game.cutoffs]
-    pairs = list(_support_pairs(restrict_to_bimatrix(game, list(map(len, chains))), chains))
-    lo, hi = (np.array([p[i] for p in pairs], dtype=int).reshape(-1, 2) for i in (4, 5))
-    return (np.arange(len(pairs))[:, None], lo, hi), [p[2] for p in pairs], [p[3] for p in pairs]
+def _pair_boxes(game: CapabilityGame) -> tuple[list[MixedEquilibrium], Boxes]:
+    """The points of the equal-size support pairs (R, C) of a two-player game's
+    top-left subgame within the action bound that are equilibria at some
+    capability cell, in support-bitmask order, and their boxes, whose rows
+    ``cell`` reads as indices into the points.  The indifference systems depend
+    only on the supports, so the pair is an equilibrium at (ca, cb) exactly
+    when ``lo <= (ca, cb) <= hi``: ``lo`` holds the levels of R's last row and
+    C's last column, ``hi`` ends just below the level of the first row
+    (column) that strictly beats the value.  The systems run on the game's
+    integer rows of A (for y) and columns of B (for x): one scale per player
+    leaves the weights alone and scales the value, which is then divided by
+    the player's denominator, and the beat check runs in integers.
+    """
+    utilities, levels, denominators = game._integer_form
+    m, k = (max(c for c in chain if c <= DEFAULT_MAX_ACTIONS) for chain in game.cutoffs)
+    a, b = (u[:m, :k] for u in utilities)
+    # each line's level, and past the last line the level that no line beats
+    sides = [(lines, np.append(level[:n], level[n - 1] + 1).tolist())
+             for lines, level, n in zip((a.tolist(), b.T.tolist()), levels, (m, k))]
+    points, boxes = [], []
+    for size in range(1, min(m, k) + 1):
+        for rows in combinations(range(m), size):
+            for cols in combinations(range(k), size):
+                # indifference makes x'Ay = u and x'By = v, so the two beat checks
+                # are the equilibrium test; x waits until y holds at the lowest cell
+                replies = []
+                for (lines, level), own, other, den in zip(sides, (rows, cols), (cols, rows),
+                                                           denominators):
+                    system = [[lines[i][j] for j in other] + [-1, 0] for i in own]
+                    system.append([1] * size + [0, 1])
+                    solution, status = _solve(system, size + 1)
+                    if status == "inconsistent" or any(w < 0 for w in solution[:size]):
+                        break
+                    *weights, value = solution
+                    (target, *mix), _ = scaled([value, *weights])
+                    beat = next((i for i, line in enumerate(lines) if sum(
+                        line[j] * w for j, w in zip(other, mix)) > target), len(lines))
+                    if level[beat] <= level[own[-1]]:
+                        break
+                    replies.append((weights, value / den, status == "degenerate" or 0 in weights,
+                                    level[own[-1]], level[beat] - 1))
+                else:
+                    (ys, u, y_flag, lo_a, hi_a), (xs, v, x_flag, lo_b, hi_b) = replies
+                    points.append(MixedEquilibrium(_embed(xs, rows, m), _embed(ys, cols, k),
+                                                   (u, v), x_flag or y_flag))
+                    boxes.append((lo_a, lo_b, hi_a, hi_b))
+    boxes = np.array(boxes, dtype=int).reshape(-1, 4)
+    return points, (np.arange(len(points))[:, None], boxes[:, :2], boxes[:, 2:])
 
 
 def ctf_mixed(game: CapabilityGame, capability: Sequence[int]) -> MixedCtf:
@@ -229,6 +221,6 @@ def ctf_mixed(game: CapabilityGame, capability: Sequence[int]) -> MixedCtf:
     keeps its box; each call then reads its cell from the boxes."""
     capability, sizes = _two_player_cell(game, capability)
     _within_bound(*sizes)
-    boxes, values, degenerate = game._pair_boxes
-    inside = [i for i, in cell(boxes, capability)]
-    return MixedCtf(frozenset(values[i] for i in inside), any(degenerate[i] for i in inside))
+    points, boxes = game._pair_boxes
+    inside = [points[i] for i, in cell(boxes, capability)]
+    return MixedCtf(frozenset(p.values for p in inside), any(p.degenerate for p in inside))

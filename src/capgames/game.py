@@ -146,25 +146,32 @@ class CapabilityGame:
         return cls((acts1, acts2), (c1, c2), pay)
 
     @cached_property
-    def _boxes(self) -> Boxes:
-        """``ne_boxes`` over this game, computed on first use: each player's
-        payoffs scaled to integers over their common denominator, and each
-        action's level read off the checked, so gap-free, cutoff chain."""
+    def _integer_form(self) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
+        """The one integer form of this game, which both engines read, computed
+        on first use: ``(utilities, levels, denominators)``, each player's payoffs
+        scaled to integers over their common denominator, each action's level
+        read off the checked, so gap-free, cutoff chain, and each denominator."""
         counts = tuple(len(a) for a in self.actions)
         vectors = list(self.payoffs.values())
-        utilities = []
+        utilities, denominators = [], []
         for p in range(self.n_players):
-            ints, _ = scaled(v[p] for v in vectors)
+            ints, den = scaled(v[p] for v in vectors)
             dtype = _payoff_dtype(max(map(abs, ints)))
             utilities.append(np.array(ints, dtype=dtype).reshape(counts))
+            denominators.append(den)
         levels = [np.searchsorted(chain, np.arange(k), side="right") + 1
                   for k, chain in zip(counts, self.cutoffs)]
-        return ne_boxes(utilities, levels)
+        return utilities, levels, denominators
+
+    @cached_property
+    def _boxes(self) -> Boxes:
+        """``ne_boxes`` over this game's integer form, computed on first use."""
+        return ne_boxes(*self._integer_form[:2])
 
     @cached_property
     def _pair_boxes(self):
-        """``bimatrix._pair_boxes`` over this two-player game, computed on
-        first use."""
+        """``bimatrix._pair_boxes`` over this two-player game's integer form,
+        computed on first use."""
         from .bimatrix import _pair_boxes  # bimatrix imports this module
         return _pair_boxes(self)
 

@@ -130,8 +130,9 @@ def test_every_reported_equilibrium_verifies():
 @given(st.data())
 def test_support_enumeration_matches_elimination_over_fractions(data):
     # small value sets make ties, singular systems and degenerate cells
-    # common; the halves and thirds exercise the scaling to integers
-    values = st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2), F(-2, 3)))
+    # common; the halves, thirds and sevenths exercise the scaling to
+    # integers, one scale per player, which a row's own lcm need not equal
+    values = st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2), F(-2, 3), F(5, 7), F(-1000)))
     m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     a, b = (data.draw(st.lists(st.lists(values, min_size=k, max_size=k),
                                min_size=m, max_size=m)) for _ in range(2))
@@ -143,15 +144,20 @@ def test_support_enumeration_matches_elimination_over_fractions(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_ctf_mixed_matches_elimination_over_fractions_at_every_cell(data):
-    # random cutoff chains over the same small value sets: each capability
-    # cell's payoff set and degenerate flag come from the reference run on
-    # the cell's restricted matrices
-    values = st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2), F(-2, 3)))
+    # random cutoff chains over the same small value sets
+    values = st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2), F(-2, 3), F(5, 7), F(-1000)))
     m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     a, b = (data.draw(st.lists(st.lists(values, min_size=k, max_size=k),
                                min_size=m, max_size=m)) for _ in range(2))
     c1, c2 = ([i for i in range(1, size) if data.draw(st.booleans())] + [size]
               for size in (m, k))
+    _assert_every_cell_matches_elimination_over_fractions(a, b, c1, c2)
+
+
+def _assert_every_cell_matches_elimination_over_fractions(a, b, c1, c2):
+    """Check ``ctf_mixed`` at every cell of the game (a, b) with the given
+    cutoff chains against the reference run on the cell's restricted
+    matrices; returns the game."""
     game = CapabilityGame.from_matrices(a, b, c1, c2)
     for (la, rows), (lb, cols) in product(enumerate(c1, 1), enumerate(c2, 1)):
         reference = support_enumeration_over_fractions([row[:cols] for row in a[:rows]],
@@ -159,6 +165,7 @@ def test_ctf_mixed_matches_elimination_over_fractions_at_every_cell(data):
         assert ctf_mixed(game, (la, lb)) == MixedCtf(
             frozenset(pair for _, _, pair, _ in reference),
             any(degenerate for *_, degenerate in reference)), (la, lb)
+    return game
 
 
 def test_pure_equilibria_appear_as_unit_vectors():
@@ -272,6 +279,11 @@ def test_the_grid_solves_each_support_pair_of_the_game_at_most_once(monkeypatch)
     game = CapabilityGame.from_matrices(a, b, (2, 4, 6), (2, 4, 6))
     solve, calls = bimatrix._solve, []
     monkeypatch.setattr(bimatrix, "_solve", lambda *args: calls.append(args) or solve(*args))
+
+    def no_bimatrix(*args):
+        raise AssertionError("the grid reads the game's integer form, not a Bimatrix")
+
+    monkeypatch.setattr(bimatrix, "restrict_to_bimatrix", no_bimatrix)
     cells = list(product((1, 2, 3), repeat=2))
     for caps in cells:
         ctf_mixed(game, caps)
@@ -281,3 +293,23 @@ def test_the_grid_solves_each_support_pair_of_the_game_at_most_once(monkeypatch)
     for caps in cells:
         ctf_mixed(game, caps)
     assert calls == []
+
+
+@pytest.mark.parametrize("width, dtype", [(30_000, np.int16), (2**70, object)],
+                         ids=["int16", "object"])
+def test_wide_payoffs_match_elimination_over_fractions(width, dtype):
+    # int16 payoffs whose products overflow int16, and payoffs past int64:
+    # the solver must do its arithmetic on Python integers, never on numpy
+    # scalars (an overflow warning fails the run)
+    rng = random.Random(width % 1009)
+    values = (-width, 1 - width, width - 1, width)
+    for _ in range(30):
+        m, k = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = ([[rng.choice(values) for _ in range(k)] for _ in range(m)] for _ in range(2))
+        c1, c2 = ([i for i in range(1, size) if rng.random() < 0.5] + [size]
+                  for size in (m, k))
+        game = _assert_every_cell_matches_elimination_over_fractions(a, b, c1, c2)
+        assert all(u.dtype == dtype for u in game._integer_form[0])
+        found = support_enumeration(Bimatrix(a, b))
+        assert [(eq.x, eq.y, eq.values, eq.degenerate) for eq in found] == (
+            support_enumeration_over_fractions(a, b))
