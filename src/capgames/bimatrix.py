@@ -212,7 +212,7 @@ def _pair_boxes(game: CapabilityGame) -> tuple[list[MixedEquilibrium], Boxes]:
                                                    (u, v), x_flag or y_flag))
                     boxes.append((lo_a, lo_b, hi_a, hi_b))
     boxes = np.array(boxes, dtype=int).reshape(-1, 4)
-    return points, (np.arange(len(points))[:, None], boxes[:, :2], boxes[:, 2:])
+    return points, Boxes(np.arange(len(points))[:, None], boxes[:, :2], boxes[:, 2:])
 
 
 def ctf_mixed(game: CapabilityGame, capability: Sequence[int]) -> MixedCtf:

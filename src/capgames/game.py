@@ -34,7 +34,6 @@ from .rationals import as_fraction, as_integer, scaled, spell
 
 PayoffVector = tuple[Fraction, ...]
 Profile = tuple[int, ...]
-Boxes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,14 @@ class CapabilityGame:
         if len(self.payoffs) != prod(counts):
             raise IncompletePayoffs(
                 f"{len(self.payoffs)} payoff entries for {prod(counts)} profiles")
+        # one Fraction per distinct exact int or str: True == 1 hashes alike
+        shared = {}
+        def exact(v):
+            if type(v) not in (int, str):
+                return as_fraction(v)
+            if v not in shared:
+                shared[v] = as_fraction(v)
+            return shared[v]
         payoffs = {}
         for profile in product(*(range(k) for k in counts)):
             if profile not in self.payoffs:
@@ -97,7 +104,7 @@ class CapabilityGame:
                 raise IncompletePayoffs(
                     f"payoff for {profile} has {len(vec)} entries, want {self.n_players}")
             try:
-                payoffs[profile] = tuple(as_fraction(v) for v in vec)
+                payoffs[profile] = tuple(map(exact, vec))
             except (TypeError, ValueError) as bad:
                 raise GameFormatError(f"profile {profile}: {bad}") from None
         object.__setattr__(self, "payoffs", payoffs)
@@ -121,8 +128,12 @@ class CapabilityGame:
                               f"got {spell(player, repr)}, {spell(level, repr)}") from None
         if not 0 <= player < self.n_players:
             raise OutOfBounds(f"player {spell(player)} outside 0..{self.n_players - 1}")
+        return self._size(player, level)
+
+    def _size(self, player: int, level: int) -> int:
+        """``space_size`` once ``player`` is checked and ``level`` an integer."""
         b = len(self.cutoffs[player])
-        if not 1 <= level <= b:
+        if not 0 < level <= b:
             raise OutOfBounds(f"capability {spell(level)} for player {player + 1} outside 1..{b}")
         return self.cutoffs[player][level - 1]
 
@@ -176,6 +187,26 @@ class CapabilityGame:
         return _pair_boxes(self)
 
 
+class Boxes:
+    """Equilibria and their boxes of capability cells: ``profiles[i]`` is an
+    equilibrium at every c with ``lo[i] <= c <= hi[i]``, one column per player."""
+
+    def __init__(self, profiles: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.profiles, self.lo, self.hi = profiles, lo, hi
+        # per player, each level's bitset once read; past the top hi, none
+        self._open = [[None] * top for top in hi.max(axis=0, initial=0).tolist()]
+
+    def open_at(self, player: int, level: int) -> int:
+        """Bit i set when row i's box holds ``level`` for ``player``."""
+        bitsets = self._open[player]
+        if not 0 < level <= len(bitsets):
+            return 0
+        if bitsets[level - 1] is None:
+            inside = (self.lo[:, player] <= level) & (level <= self.hi[:, player])
+            bitsets[level - 1] = int.from_bytes(np.packbits(inside, bitorder="little"), "little")
+        return bitsets[level - 1]
+
+
 def _payoff_dtype(bound: int):
     """Narrowest integer dtype holding every value up to ``bound`` in
     magnitude; object (Python integers) past 2**62."""
@@ -201,10 +232,11 @@ def ne_boxes(
     and ``hi[p]`` the number of levels whose best reply to s_-p is no better
     than s_p.
 
-    Returns ``(profiles, lo, hi)``, three arrays of one row per profile that
-    is an equilibrium at some capability, in lexicographic order: the
+    Returns ``Boxes(profiles, lo, hi)``, three arrays of one row per profile
+    that is an equilibrium at some capability, in lexicographic order: the
     profile's action indices and its box.  ``cell`` reads one capability
-    profile's equilibria from them.
+    profile's equilibria from them, through one bitset of rows per player
+    and level, built on the first read of that level.
     """
     shape = utilities[0].shape
     ranks = [np.asarray(lv) - 1 for lv in levels]
@@ -248,15 +280,23 @@ def ne_boxes(
         opp, own = opponents(p, profiles), u[s]
         for level_best in best[p]:
             hi[:, p] += level_best[opp] <= own
-    return np.stack(s, axis=1), lo, hi
+    return Boxes(np.stack(s, axis=1), lo, hi)
 
 
 def cell(boxes: Boxes, capability: Sequence[int]) -> list[Profile]:
-    """The equilibria at one capability profile, in lexicographic order:
-    the rows of ``ne_boxes``'s answer whose box holds ``capability``."""
-    profiles, lo, hi = boxes
-    inside = ((lo <= capability) & (capability <= hi)).all(axis=1)
-    return list(map(tuple, profiles[inside].tolist()))
+    """The equilibria at one capability profile, in lexicographic order: the
+    rows of ``ne_boxes``'s answer whose box holds ``capability``.  It ANDs one
+    bitset of rows per player, each built on the first read of its level, so
+    what the boxes keep grows with rows times levels read, never with cells."""
+    inside = -1
+    for p, c in enumerate(capability):
+        inside &= boxes.open_at(p, c)
+    if not inside:
+        return []
+    rows = len(boxes.profiles)
+    bits = np.frombuffer(inside.to_bytes((rows + 7) // 8, "little"), dtype=np.uint8)
+    keep = np.unpackbits(bits, count=rows, bitorder="little").view(bool)
+    return list(map(tuple, boxes.profiles[keep].tolist()))
 
 
 class Positivity(enum.Enum):
@@ -282,7 +322,7 @@ def _profile(values: Sequence[int], n: int, what: str) -> tuple[int, ...]:
 def _checked(game: CapabilityGame, capability: Sequence[int]) -> tuple[Profile, Profile]:
     """``capability`` as a checked tuple, and the space sizes it gives."""
     capability = _profile(capability, game.n_players, "capability profile")
-    return capability, tuple(game.space_size(p, c) for p, c in enumerate(capability))
+    return capability, tuple([game._size(p, c) for p, c in enumerate(capability)])
 
 
 def restricted_sizes(game: CapabilityGame, capability: Sequence[int]) -> tuple[int, ...]:

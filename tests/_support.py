@@ -234,6 +234,14 @@ def pure_equilibria_by_levels(utilities, levels, capability):
     return found
 
 
+def cell_by_scan(profiles, lo, hi, capability):
+    """The rows of ``profiles`` whose box ``lo <= capability <= hi`` holds
+    ``capability``, in row order, by one scan of every box: the slow
+    reference for ``game.cell``."""
+    inside = ((lo <= capability) & (capability <= hi)).all(axis=1)
+    return list(map(tuple, profiles[inside].tolist()))
+
+
 def pure_equilibria_by_cell(table, cap_a, cap_b, exact=False):
     """Index pairs of every pure equilibrium of a ``StrategyTable`` or an
     ``oracle.PayoffTable`` with at most (with ``exact``, exactly) ``cap_a`` /

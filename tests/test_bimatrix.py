@@ -25,7 +25,13 @@ from capgames.errors import (
     NotTwoPlayer,
     SizeLimitExceeded,
 )
-from tests._support import expected_payoff, is_mixed_ne, support_enumeration_over_fractions
+from capgames.game import cell
+from tests._support import (
+    cell_by_scan,
+    expected_payoff,
+    is_mixed_ne,
+    support_enumeration_over_fractions,
+)
 
 F = Fraction
 
@@ -152,6 +158,21 @@ def test_ctf_mixed_matches_elimination_over_fractions_at_every_cell(data):
     c1, c2 = ([i for i in range(1, size) if data.draw(st.booleans())] + [size]
               for size in (m, k))
     _assert_every_cell_matches_elimination_over_fractions(a, b, c1, c2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cell_reads_the_support_pairs_a_scan_of_every_box_finds(data):
+    # payoffs 0..2 tie often, so boxes overlap; each level from 0 to one
+    # past the top, where no pair is open
+    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a, b = (data.draw(st.lists(st.lists(st.integers(0, 2), min_size=k, max_size=k),
+                               min_size=m, max_size=m)) for _ in range(2))
+    c1, c2 = ([i for i in range(1, size) if data.draw(st.booleans())] + [size]
+              for size in (m, k))
+    _, boxes = bimatrix._pair_boxes(CapabilityGame.from_matrices(a, b, c1, c2))
+    for cap in product(range(len(c1) + 2), range(len(c2) + 2)):
+        assert cell(boxes, cap) == cell_by_scan(boxes.profiles, boxes.lo, boxes.hi, cap)
 
 
 def _assert_every_cell_matches_elimination_over_fractions(a, b, c1, c2):

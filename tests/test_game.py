@@ -28,7 +28,7 @@ from capgames.errors import (
     UnequalBounds,
 )
 from capgames.game import cell, ne_boxes, restricted_sizes
-from tests._support import pure_equilibria_by_levels, pure_ne_by_sweep
+from tests._support import cell_by_scan, pure_equilibria_by_levels, pure_ne_by_sweep
 
 # 2x2 game in which giving player 1 a second action strictly lowers their
 # equilibrium payoff: the canonical "more options can hurt" example used
@@ -194,6 +194,24 @@ def test_construction_rejects_an_inexact_payoff(bad):
         CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (2,)), payoffs)
 
 
+def test_equal_payoffs_share_one_fraction():
+    g = CapabilityGame((("a", "b"), ("x",)), ((2,), (1,)),
+                       {(0, 0): (3, "1/2"), (1, 0): ("1/2", 3)})
+    (three, half), (half_again, three_again) = g.payoffs.values()
+    assert three is three_again and half is half_again
+    assert (three, half) == (3, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy-bool"])
+def test_a_boolean_after_an_equal_integer_is_still_refused(flag):
+    # True == 1 and np.bool_(True) == 1, with equal hashes
+    payoffs = _full_payoffs((2, 2), (1, 1))
+    payoffs[(1, 1)] = (1, flag)
+    why = "booleans are not rationals" if flag is True else "expected an exact rational, got bool"
+    with pytest.raises(GameFormatError, match=rf"^profile \(1, 1\): {why}"):
+        CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (2,)), payoffs)
+
+
 def test_game_keeps_its_own_payoffs():
     payoffs = {(0, 0): (1, 2), (0, 1): (-1, 1), (1, 0): (2, 1), (1, 1): (0, 2)}
     g = CapabilityGame((("r1", "r2"), ("c1", "c2")), ((1, 2), (2,)), payoffs)
@@ -221,6 +239,20 @@ def test_restricted_sizes_and_bounds_checks():
         ctf_pure(SHRINK, (3, 1))
     with pytest.raises(OutOfBounds):
         ctf_pure(SHRINK, (1, 1, 1))
+
+
+@pytest.mark.parametrize("read,message", [
+    (lambda: ctf_pure(SHRINK, (0, 1)), "capability 0 for player 1 outside 1..2"),
+    (lambda: ctf_pure(SHRINK, (1, 2)), "capability 2 for player 2 outside 1..1"),
+    (lambda: ctf_pure(SHRINK, (1.0, 1)), "capability profile must hold integers, got (1.0, 1)"),
+    (lambda: SHRINK.space_size(0, 0), "capability 0 for player 1 outside 1..2"),
+    (lambda: SHRINK.space_size(0, 3), "capability 3 for player 1 outside 1..2"),
+    (lambda: SHRINK.space_size(0, 1.0), "player and capability must be integers, got 0, 1.0"),
+], ids=["ctf-zero", "ctf-past-top", "ctf-float", "size-zero", "size-past-top", "size-float"])
+def test_a_level_out_of_range_is_refused_with_its_range(read, message):
+    with pytest.raises(OutOfBounds) as refused:
+        read()
+    assert str(refused.value) == message
 
 
 def test_capabilities_and_actions_must_be_integers():
@@ -358,6 +390,17 @@ def test_ne_cells_match_a_deviation_sweep_on_every_cell(g):
         assert cell(boxes, cap) == pure_equilibria_by_levels(utilities, levels, cap)
 
 
+@settings(max_examples=200, deadline=None)
+@given(level_games())
+def test_cell_reads_the_rows_a_scan_of_every_box_finds(g):
+    # each entry from 0 to one past the top level: a level outside the game
+    # opens no row, as in the scan
+    utilities, levels = g
+    boxes = ne_boxes(utilities, levels)
+    for cap in product(*(range(max(lv) + 2) for lv in levels)):
+        assert cell(boxes, cap) == cell_by_scan(boxes.profiles, boxes.lo, boxes.hi, cap)
+
+
 def test_ctf_pure_is_exact_past_int64():
     # scaled over the common denominator 3**45 these payoffs pass 2**62, so
     # the engine holds them as Python integers; the two large values differ
@@ -447,9 +490,17 @@ def test_ne_boxes_count_each_bound_without_a_levels_by_profiles_array():
     ties = [np.zeros((k, k), dtype=np.int16)] * 2
     boxes, peak = _peak_bytes(lambda: ne_boxes(ties, [np.arange(1, k + 1)] * 2))
     assert peak < 40_000_000
-    assert cell(boxes, (1, 1)) == [(0, 0)]
-    assert len(cell(boxes, (k, k))) == k * k
-    assert cell(boxes, (2, k))[-1] == (1, k - 1)
+    # the reads keep a 20 kB bitset per level they read, five in all; a
+    # bitset for every level would keep 16 MB
+    tracemalloc.start()
+    try:
+        assert cell(boxes, (1, 1)) == [(0, 0)]
+        assert len(cell(boxes, (k, k))) == k * k
+        assert cell(boxes, (2, k))[-1] == (1, k - 1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
 
 
 def test_an_all_ties_game_answers_its_top_cell_from_the_boxes():

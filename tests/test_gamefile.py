@@ -31,10 +31,15 @@ def test_fixture_loads_with_expected_content():
     game = load_game(FIXTURES / "capability_decrease.json")
     assert game.actions == (("top", "bottom"), ("left", "right"))
     assert game.cutoffs == ((1, 2), (2,))
-    assert game.payoffs[(0, 0)] == (1, 2)
-    assert game.payoffs[(0, 1)] == (-1, 1)
-    assert game.payoffs[(1, 0)] == (2, 1)
-    assert game.payoffs[(1, 1)] == (0, 2)
+    assert game.payoffs == {(0, 0): (1, 2), (0, 1): (-1, 1), (1, 0): (2, 1), (1, 1): (0, 2)}
+    assert all(type(v) is Fraction for vec in game.payoffs.values() for v in vec)
+
+
+def test_a_boolean_after_an_equal_integer_in_a_file_is_refused(tmp_path):
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps({**GOOD, "payoffs": [[1, 2], [-1, 1], [2, 1], [1, True]]}))
+    with pytest.raises(GameFormatError, match=r"^profile \(1, 1\): booleans are not rationals"):
+        load_game(path)
 
 
 def test_parse_reads_row_major_payoff_order():
