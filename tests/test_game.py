@@ -249,7 +249,7 @@ def test_restricted_sizes_and_bounds_checks():
     (lambda: SHRINK.space_size(0, 3), "capability 3 for player 1 outside 1..2"),
     (lambda: SHRINK.space_size(0, 1.0), "player and capability must be integers, got 0, 1.0"),
 ], ids=["ctf-zero", "ctf-past-top", "ctf-float", "size-zero", "size-past-top", "size-float"])
-def test_a_level_out_of_range_is_refused_with_its_range(read, message):
+def test_ctf_pure_and_space_size_refuse_a_bad_level_with_its_message(read, message):
     with pytest.raises(OutOfBounds) as refused:
         read()
     assert str(refused.value) == message
