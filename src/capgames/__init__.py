@@ -7,7 +7,6 @@ coverage game (``goldmines``, ``oracle``).
 """
 
 from .bimatrix import (
-    Bimatrix,
     MixedCtf,
     MixedEquilibrium,
     ctf_mixed,
@@ -42,7 +41,6 @@ from .oracle import VerificationReport, verify_closed_form
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bimatrix",
     "CapabilityGame",
     "CoverageSummary",
     "GameParams",

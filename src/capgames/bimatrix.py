@@ -1,63 +1,32 @@
-"""Exact mixed Nash equilibria of two-player games by support enumeration.
+"""Exact mixed Nash equilibria of two-player capability games by support
+enumeration; a bimatrix game is the one-level game of ``from_matrices``.
 
-Every candidate support pair of equal size induces square indifference
-systems over the game's integer form, the one the pure engine reads, so the
-equilibria (and the degeneracy verdicts) are exact.  Unequal-support
-equilibria only occur in degenerate games, and there only basic solutions
-are reported, never whole continua.  The first ``ctf_mixed`` call on a game
-solves each support pair of the game once and keeps its box of capability
-cells; later calls read their cell from the boxes.  The degenerate flag
-covers a singular system or a zero support weight only: a best reply outside
-the support that ties is not flagged, so a continuum can go unmarked.
+Every candidate support pair of equal size induces square indifference systems
+over the game's integer form, the one the pure engine reads, so the equilibria
+(and the degeneracy verdicts) are exact.  Unequal-support equilibria only
+occur in degenerate games, and there only basic solutions are reported, never
+whole continua.  The first ``ctf_mixed`` or ``support_enumeration`` call on a
+game solves each support pair once and keeps its box; every call reads its
+cell from the boxes.  The degenerate flag covers a singular system or a zero
+support weight only: a best reply outside the support that ties is not
+flagged, so a continuum can go unmarked.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence, Set
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
 
-from .errors import DimensionMismatch, GameFormatError, NotTwoPlayer, SizeLimitExceeded
+from .errors import NotTwoPlayer, SizeLimitExceeded
 from .game import Boxes, CapabilityGame, _checked, cell
-from .rationals import as_fraction, scaled
+from .rationals import scaled
 
 DEFAULT_MAX_ACTIONS = 8
-
-Matrix = tuple[tuple[Fraction, ...], ...]
-# a string row would split into characters, and a set or a mapping has no columns
-_NOT_ROWS = (str, bytes, Set, Mapping)
-
-
-@dataclass(frozen=True)
-class Bimatrix:
-    """Payoff matrices of a two-player game; rows belong to player 1.  Building
-    one is the one check of a matrix pair, ``from_matrices``'s too: a bad shape
-    raises ``DimensionMismatch``, an entry ``as_fraction`` refuses ``GameFormatError``."""
-
-    a: Matrix
-    b: Matrix
-
-    def __post_init__(self):
-        try:
-            a, b = (list(m) for m in (self.a, self.b))
-            ragged = any(isinstance(r, _NOT_ROWS) or len(r) != len(a[0]) for r in a + b)
-        except (TypeError, IndexError):  # a matrix or a row that is no sequence, or no row
-            ragged = True
-        if ragged or not a or len(b) != len(a) or len(a[0]) == 0:
-            raise DimensionMismatch("payoff matrices need one nonempty rectangular shape")
-        for name, m in zip("ab", (a, b)):
-            try:
-                object.__setattr__(self, name, tuple(tuple(map(as_fraction, r)) for r in m))
-            except (TypeError, ValueError) as bad:
-                raise GameFormatError(f"payoff matrix {name}: {bad}") from None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.a), len(self.a[0])
 
 
 @dataclass(frozen=True)
@@ -128,8 +97,9 @@ def _within_bound(m: int, k: int) -> None:
         raise SizeLimitExceeded(f"{m}x{k} exceeds the {DEFAULT_MAX_ACTIONS}-action bound")
 
 
-def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
-    """All equilibria on equal-size supports, in support-bitmask order.
+def support_enumeration(game: CapabilityGame) -> list[MixedEquilibrium]:
+    """All equilibria on equal-size supports of a two-player game's top cell,
+    ``game.bounds``, in support-bitmask order.
 
     Complete for nondegenerate games.  For degenerate ones every emitted
     point is still exact and verified, and unequal-support continua are
@@ -137,10 +107,8 @@ def support_enumeration(game: Bimatrix) -> list[MixedEquilibrium]:
     a singular indifference system or a zero support weight, not a tie with
     a best reply outside the support.
     """
-    _within_bound(*game.shape)
-    points, _ = _pair_boxes(CapabilityGame.from_matrices(game.a, game.b))
     # supports grow, so a point met again has a zero weight, which is flagged
-    return list({(p.x, p.y): p for p in points}.values())
+    return list({(p.x, p.y): p for p in _mixed_cell(game, game.bounds)}.values())
 
 
 @dataclass(frozen=True)
@@ -158,11 +126,13 @@ def _two_player_cell(game: CapabilityGame, capability: Sequence[int]):
     return _checked(game, capability)
 
 
-def restrict_to_bimatrix(game: CapabilityGame, capability: Sequence[int]) -> Bimatrix:
-    """Restricted payoff matrices of a two-player capability game."""
-    _, (ra, rb) = _two_player_cell(game, capability)
-    a, b = ([[game.payoffs[i, j][p] for j in range(rb)] for i in range(ra)] for p in (0, 1))
-    return Bimatrix(a, b)
+def restrict_to_bimatrix(game: CapabilityGame, capability: Sequence[int]) -> CapabilityGame:
+    """The one-level game of a two-player capability game's cell at
+    ``capability``: each player's actions at that level, and their payoffs."""
+    _, sizes = _two_player_cell(game, capability)
+    return CapabilityGame(tuple(acts[:n] for acts, n in zip(game.actions, sizes)),
+                          tuple((n,) for n in sizes),
+                          {s: game.payoffs[s] for s in product(*map(range, sizes))})
 
 
 def _pair_boxes(game: CapabilityGame) -> tuple[list[MixedEquilibrium], Boxes]:
@@ -215,12 +185,15 @@ def _pair_boxes(game: CapabilityGame) -> tuple[list[MixedEquilibrium], Boxes]:
     return points, Boxes(np.arange(len(points))[:, None], boxes[:, :2], boxes[:, 2:])
 
 
-def ctf_mixed(game: CapabilityGame, capability: Sequence[int]) -> MixedCtf:
-    """Mixed capability transfer function of a two-player game at one profile.
-    The first call on a game solves each support pair of the game once and
-    keeps its box; each call then reads its cell from the boxes."""
+def _mixed_cell(game: CapabilityGame, capability: Sequence[int]) -> list[MixedEquilibrium]:
+    """The points of the game's pair boxes that hold at ``capability``."""
     capability, sizes = _two_player_cell(game, capability)
     _within_bound(*sizes)
     points, boxes = game._pair_boxes
-    inside = [points[i] for i, in cell(boxes, capability)]
+    return [points[i] for i, in cell(boxes, capability)]
+
+
+def ctf_mixed(game: CapabilityGame, capability: Sequence[int]) -> MixedCtf:
+    """Mixed capability transfer function of a two-player game at one profile."""
+    inside = _mixed_cell(game, capability)
     return MixedCtf(frozenset(p.values for p in inside), any(p.degenerate for p in inside))

@@ -13,16 +13,17 @@ All payoffs are exact rationals; nothing here is ever rounded.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyGame,
     GameFormatError,
     HierarchyViolation,
@@ -34,6 +35,7 @@ from .rationals import as_fraction, as_integer, scaled, spell
 
 PayoffVector = tuple[Fraction, ...]
 Profile = tuple[int, ...]
+_NOT_ROWS = (str, bytes, Set, Mapping)  # a string row would split; a set has no column order
 
 
 @dataclass(frozen=True)
@@ -145,11 +147,18 @@ class CapabilityGame:
         cutoffs1: Iterable[int] | None = None,
         cutoffs2: Iterable[int] | None = None,
     ) -> "CapabilityGame":
-        """Build a two-player game from payoff matrices (rows = player 1)."""
-        from .bimatrix import Bimatrix  # bimatrix imports this module
-        pair = Bimatrix(u1, u2)  # the one check of a matrix pair
-        rows, cols = pair.shape
-        pay = {(i, j): (pair.a[i][j], pair.b[i][j]) for i in range(rows) for j in range(cols)}
+        """Build a two-player game from payoff matrices (rows = player 1), the
+        one matrix constructor: a shape that is not one nonempty rectangle shared
+        by both raises ``DimensionMismatch``, and the game checks each entry."""
+        try:
+            a, b = list(u1), list(u2)
+            ragged = any(isinstance(r, _NOT_ROWS) or len(r) != len(a[0]) for r in a + b)
+        except (TypeError, IndexError):  # a matrix or a row that is no sequence, or no row
+            ragged = True
+        if ragged or not a or len(b) != len(a) or len(a[0]) == 0:
+            raise DimensionMismatch("payoff matrices need one nonempty rectangular shape")
+        rows, cols = len(a), len(a[0])
+        pay = {(i, j): pair for i, ab in enumerate(zip(a, b)) for j, pair in enumerate(zip(*ab))}
         c1 = cutoffs1 if cutoffs1 is not None else (rows,)
         c2 = cutoffs2 if cutoffs2 is not None else (cols,)
         acts1 = tuple(f"r{i + 1}" for i in range(rows))
@@ -323,11 +332,6 @@ def _checked(game: CapabilityGame, capability: Sequence[int]) -> tuple[Profile, 
     """``capability`` as a checked tuple, and the space sizes it gives."""
     capability = _profile(capability, game.n_players, "capability profile")
     return capability, tuple([game._size(p, c) for p, c in enumerate(capability)])
-
-
-def restricted_sizes(game: CapabilityGame, capability: Sequence[int]) -> tuple[int, ...]:
-    """Per-player action counts at the given capability profile."""
-    return _checked(game, capability)[1]
 
 
 def is_pure_ne(

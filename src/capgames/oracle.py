@@ -139,11 +139,13 @@ class PayoffTable:
         """``game.ne_boxes`` over this table at the classes' levels, on first use."""
         return ne_boxes((self.ua, self.ua.T), (self.segments, self.segments))
 
+    def _level(self, cap: int) -> int:
+        """``cap`` clamped to the most segments; below 1, no class is open."""
+        return min(cap, len(self.mult) - 1)
+
     def pure_equilibria(self, cap_a: int, cap_b: int) -> list[tuple[int, int]]:
         """Class index pairs where neither player can improve, in lexicographic order."""
-        # caps past the most segments clamp to it; caps below 1 have no cell
-        top = len(self.mult) - 1
-        return cell(self._boxes, (min(cap_a, top), min(cap_b, top)))
+        return cell(self._boxes, (self._level(cap_a), self._level(cap_b)))
 
 
 # one table at a time: at M = 5 one holds 52 MB or more
@@ -171,8 +173,7 @@ def verify_closed_form(params: GameParams) -> VerificationReport:
     goldmines.require_closed_form_regime(params.rho, params.mu)
     table = _table(params.scale, params.rho, params.mu)
     predicted = goldmines.equilibrium_payoffs(params)
-    top = len(table.mult) - 1
-    mult_a, mult_b = table.mult[min(params.cap_a, top)], table.mult[min(params.cap_b, top)]
+    mult_a, mult_b = (table.mult[table._level(cap)] for cap in (params.cap_a, params.cap_b))
     observed, found, counterexamples = set(), 0, []
     for a, b in table.pure_equilibria(params.cap_a, params.cap_b):
         value = table.payoff_pair(a, b)

@@ -59,9 +59,15 @@ def spell(value, conv=str) -> str:
         return f"<{type(value).__name__}>"
 
 
+def _is_boolean(value) -> bool:
+    """A Python bool, or a numpy one (its dtype kind is "b"), without importing numpy."""
+    return type(value) is not int and (
+        isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b")
+
+
 def as_integer(value) -> int:
     """``operator.index`` that refuses booleans, as ``as_fraction`` does."""
-    if isinstance(value, bool):
+    if _is_boolean(value):
         raise TypeError("booleans are not integers")
     return operator.index(value)
 
@@ -69,7 +75,7 @@ def as_integer(value) -> int:
 def as_fraction(value) -> Fraction:
     """Coerce Fractions, rational strings and whatever ``as_integer`` takes
     (numpy integers included) to Fraction; refuse floats and booleans."""
-    if isinstance(value, bool):
+    if _is_boolean(value):
         raise TypeError("booleans are not rationals")
     if isinstance(value, str):
         return parse_rational(value)

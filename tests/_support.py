@@ -486,24 +486,23 @@ def _check_distribution(p, size, label):
 
 
 def expected_payoff(game, x, y):
-    """Exact expected payoffs x'Ay and x'By of a ``bimatrix.Bimatrix``."""
-    m, k = game.shape
+    """Exact expected payoffs x'Ay and x'By of a two-player game's full matrices."""
+    m, k = (len(acts) for acts in game.actions)
     _check_distribution(x, m, "row strategy")
     _check_distribution(y, k, "column strategy")
-    va = sum(x[i] * game.a[i][j] * y[j] for i in range(m) for j in range(k))
-    vb = sum(x[i] * game.b[i][j] * y[j] for i in range(m) for j in range(k))
-    return Fraction(va), Fraction(vb)
+    return tuple(sum(x[i] * game.payoffs[i, j][p] * y[j] for i in range(m) for j in range(k))
+                 for p in (0, 1))
 
 
 def is_mixed_ne(game, x, y):
     """Equilibrium test via pure deviations, which suffice by linearity."""
-    m, k = game.shape
+    m, k = (len(acts) for acts in game.actions)
     va, vb = expected_payoff(game, x, y)
     for i in range(m):
-        if sum(game.a[i][j] * y[j] for j in range(k)) > va:
+        if sum(game.payoffs[i, j][0] * y[j] for j in range(k)) > va:
             return False
     for j in range(k):
-        if sum(x[i] * game.b[i][j] for i in range(m)) > vb:
+        if sum(x[i] * game.payoffs[i, j][1] for i in range(m)) > vb:
             return False
     return True
 

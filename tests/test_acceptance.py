@@ -12,8 +12,9 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from capgames.bimatrix import Bimatrix, support_enumeration
+from capgames.bimatrix import support_enumeration
 from capgames.cli import cmd_game_ctf
+from capgames.game import CapabilityGame
 from capgames.goldmines import (
     GameParams,
     aligned_coverage_counts,
@@ -173,7 +174,7 @@ def test_7_more_options_can_strictly_hurt():
 
 
 def test_8_matching_pennies_solves_exactly():
-    pennies = Bimatrix(a=((1, -1), (-1, 1)), b=((-1, 1), (1, -1)))
+    pennies = CapabilityGame.from_matrices(((1, -1), (-1, 1)), ((-1, 1), (1, -1)))
     found = support_enumeration(pennies)
     half = F(1, 2)
     ok = (

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from capgames import bimatrix
 from capgames import (
-    Bimatrix,
     CapabilityGame,
     MixedCtf,
     ctf_mixed,
@@ -35,42 +34,19 @@ from tests._support import (
 
 F = Fraction
 
-PENNIES = Bimatrix(
-    a=((1, -1), (-1, 1)),
-    b=((-1, 1), (1, -1)),
-)
+PENNIES = CapabilityGame.from_matrices(((1, -1), (-1, 1)), ((-1, 1), (1, -1)))
 
-COORDINATION = Bimatrix(
-    a=((1, 0), (0, 2)),
-    b=((1, 0), (0, 2)),
-)
+COORDINATION = CapabilityGame.from_matrices(((1, 0), (0, 2)), ((1, 0), (0, 2)))
 
 
-def test_shape_validation():
-    with pytest.raises(DimensionMismatch):
-        Bimatrix(a=((1, 2), (3,)), b=((0, 0), (0, 0)))
-    with pytest.raises(DimensionMismatch):
-        Bimatrix(a=((1, 2),), b=((0,),))
-    with pytest.raises(DimensionMismatch):
-        Bimatrix(a=(), b=())
-    with pytest.raises(DimensionMismatch):
-        Bimatrix(a=[1], b=[1])
-    with pytest.raises(DimensionMismatch):
-        Bimatrix(a=None, b=None)
-    with pytest.raises(DimensionMismatch):
-        Bimatrix(a=["ab"], b=["ab"])
-    with pytest.raises(DimensionMismatch):
-        Bimatrix(a=[{1, 2}], b=[{3, 4}])
-
-
-@pytest.mark.parametrize("build", [Bimatrix, CapabilityGame.from_matrices],
-                         ids=["Bimatrix", "from_matrices"])
-def test_both_constructors_take_numpy_integers_and_refuse_inexact_entries(build):
+def test_from_matrices_takes_numpy_integers_and_refuses_inexact_entries():
+    build = CapabilityGame.from_matrices
     lists = build([[1, 2]], [[3, 4]])
     assert build(np.array([[1, 2]]), np.array([[3, 4]])) == lists
     assert build([[1, 2]], np.array([[3, 4]])) == lists
     for bad in ([[1.5]], [[True]], [["0.5"]], [[np.float64(1)]]):
-        with pytest.raises(GameFormatError):
+        # the game checks each entry, so the refusal names its profile
+        with pytest.raises(GameFormatError, match=r"^profile \(0, 0\): "):
             build(bad, [[0]])
 
 
@@ -110,7 +86,7 @@ def test_coordination_game_has_three_equilibria():
 
 
 def test_zero_game_flags_degeneracy():
-    zero = Bimatrix(a=((0, 0), (0, 0)), b=((0, 0), (0, 0)))
+    zero = CapabilityGame.from_matrices(((0, 0), (0, 0)), ((0, 0), (0, 0)))
     found = support_enumeration(zero)
     assert {eq.values for eq in found} == {(0, 0)}
     assert any(eq.degenerate for eq in found)
@@ -122,7 +98,7 @@ def test_every_reported_equilibrium_verifies():
         m, k = rng.randint(2, 4), rng.randint(2, 4)
         a = tuple(tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(m))
         b = tuple(tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(m))
-        game = Bimatrix(a=a, b=b)
+        game = CapabilityGame.from_matrices(a, b)
         found = support_enumeration(game)
         assert found, "support enumeration found nothing"
         for eq in found:
@@ -142,9 +118,27 @@ def test_support_enumeration_matches_elimination_over_fractions(data):
     m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     a, b = (data.draw(st.lists(st.lists(values, min_size=k, max_size=k),
                                min_size=m, max_size=m)) for _ in range(2))
-    found = support_enumeration(Bimatrix(a=a, b=b))
+    found = support_enumeration(CapabilityGame.from_matrices(a, b))
     assert [(eq.x, eq.y, eq.values, eq.degenerate) for eq in found] == (
         support_enumeration_over_fractions(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_support_enumeration_answers_the_top_cell_of_a_multi_level_game(data):
+    # read from the pair boxes of a game with random cutoff chains, the top
+    # cell's points, order and flags included, are those of the restricted
+    # one-level game and of the one-level game of the same matrices
+    values = st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2), F(-2, 3), F(5, 7), F(-1000)))
+    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a, b = (data.draw(st.lists(st.lists(values, min_size=k, max_size=k),
+                               min_size=m, max_size=m)) for _ in range(2))
+    c1, c2 = ([i for i in range(1, size) if data.draw(st.booleans())] + [size]
+              for size in (m, k))
+    game = CapabilityGame.from_matrices(a, b, c1, c2)
+    found = support_enumeration(game)
+    assert found == support_enumeration(restrict_to_bimatrix(game, game.bounds))
+    assert found == support_enumeration(CapabilityGame.from_matrices(a, b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -194,7 +188,7 @@ def test_pure_equilibria_appear_as_unit_vectors():
     for _ in range(25):
         a = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
         b = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
-        game = Bimatrix(a=a, b=b)
+        game = CapabilityGame.from_matrices(a, b)
         pure_by_scan = {
             (i, j)
             for i, j in product(range(3), range(3))
@@ -210,10 +204,9 @@ def test_pure_equilibria_appear_as_unit_vectors():
 
 
 def test_size_limit_guard():
-    n = 9
-    zero_row = tuple(0 for _ in range(n))
-    big = Bimatrix(a=(zero_row,) * n, b=(zero_row,) * n)
-    with pytest.raises(SizeLimitExceeded):
+    zeros = [[0] * 9] * 9
+    big = CapabilityGame.from_matrices(zeros, zeros)
+    with pytest.raises(SizeLimitExceeded, match=r"^9x9 exceeds the 8-action bound$"):
         support_enumeration(big)
 
 
@@ -230,8 +223,8 @@ def _shrink_game():
 def test_restriction_to_bimatrix():
     g = _shrink_game()
     sub = restrict_to_bimatrix(g, (1, 1))
-    assert sub.a == ((1, -1),)
-    assert sub.b == ((2, 1),)
+    assert sub == CapabilityGame((("r1",), ("c1", "c2")), ((1,), (2,)),
+                                 {(0, 0): (1, 2), (0, 1): (-1, 1)})
     three = CapabilityGame(
         actions=(("x",), ("x",), ("x",)),
         cutoffs=((1,), (1,), (1,)),
@@ -241,6 +234,8 @@ def test_restriction_to_bimatrix():
         restrict_to_bimatrix(three, (1, 1, 1))
     with pytest.raises(NotTwoPlayer):
         ctf_mixed(three, (1, 1, 1))
+    with pytest.raises(NotTwoPlayer, match="^mixed analysis needs 2 players, got 3$"):
+        support_enumeration(three)
 
 
 def test_mixed_ctf_agrees_with_pure_on_the_shrinking_example():
@@ -298,13 +293,14 @@ def test_the_grid_solves_each_support_pair_of_the_game_at_most_once(monkeypatch)
     rng = random.Random(923)
     a, b = ([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)] for _ in range(2))
     game = CapabilityGame.from_matrices(a, b, (2, 4, 6), (2, 4, 6))
+    top = support_enumeration(CapabilityGame.from_matrices(a, b))
     solve, calls = bimatrix._solve, []
     monkeypatch.setattr(bimatrix, "_solve", lambda *args: calls.append(args) or solve(*args))
 
-    def no_bimatrix(*args):
-        raise AssertionError("the grid reads the game's integer form, not a Bimatrix")
+    def no_restriction(*args):
+        raise AssertionError("the grid reads the game's integer form, not a restricted game")
 
-    monkeypatch.setattr(bimatrix, "restrict_to_bimatrix", no_bimatrix)
+    monkeypatch.setattr(bimatrix, "restrict_to_bimatrix", no_restriction)
     cells = list(product((1, 2, 3), repeat=2))
     for caps in cells:
         ctf_mixed(game, caps)
@@ -313,6 +309,8 @@ def test_the_grid_solves_each_support_pair_of_the_game_at_most_once(monkeypatch)
     calls.clear()
     for caps in cells:
         ctf_mixed(game, caps)
+    # the top cell is read from the same boxes, and equals the one-level game's
+    assert support_enumeration(game) == top
     assert calls == []
 
 
@@ -331,6 +329,6 @@ def test_wide_payoffs_match_elimination_over_fractions(width, dtype):
                   for size in (m, k))
         game = _assert_every_cell_matches_elimination_over_fractions(a, b, c1, c2)
         assert all(u.dtype == dtype for u in game._integer_form[0])
-        found = support_enumeration(Bimatrix(a, b))
+        found = support_enumeration(CapabilityGame.from_matrices(a, b))
         assert [(eq.x, eq.y, eq.values, eq.degenerate) for eq in found] == (
             support_enumeration_over_fractions(a, b))

@@ -7,7 +7,13 @@ from capgames import goldmines, oracle
 from capgames.errors import CapgamesError, OutOfRange
 from capgames.game import CapabilityGame, ctf_pure, is_pure_ne
 from capgames.goldmines import GameParams
-from capgames.rationals import as_fraction, format_rational, parse_rational, scaled
+from capgames.rationals import (
+    as_fraction,
+    as_integer,
+    format_rational,
+    parse_rational,
+    scaled,
+)
 
 F = Fraction
 
@@ -110,8 +116,11 @@ def test_as_fraction_coercions():
         as_fraction(True)
     with pytest.raises(TypeError, match="got float64"):
         as_fraction(np.float64(1))
-    with pytest.raises(TypeError, match="got bool"):
+    # a numpy boolean is refused as a Python one is, under every numpy version
+    with pytest.raises(TypeError, match="^booleans are not rationals$"):
         as_fraction(np.True_)
+    with pytest.raises(TypeError, match="^booleans are not integers$"):
+        as_integer(np.True_)
 
 
 def test_scaled_puts_every_value_over_the_lcm_of_the_denominators():
