@@ -22,7 +22,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import NotTwoPlayer, SizeLimitExceeded
+from .errors import PreconditionViolated, SizeLimitExceeded
 from .game import Boxes, CapabilityGame, _checked, cell
 from .rationals import scaled
 
@@ -92,11 +92,6 @@ def _embed(weights: list[Fraction], support: tuple[int, ...], size: int) -> tupl
     return tuple(full)
 
 
-def _within_bound(m: int, k: int) -> None:
-    if m > DEFAULT_MAX_ACTIONS or k > DEFAULT_MAX_ACTIONS:
-        raise SizeLimitExceeded(f"{m}x{k} exceeds the {DEFAULT_MAX_ACTIONS}-action bound")
-
-
 def support_enumeration(game: CapabilityGame) -> list[MixedEquilibrium]:
     """All equilibria on equal-size supports of a two-player game's top cell,
     ``game.bounds``, in support-bitmask order.
@@ -122,7 +117,7 @@ class MixedCtf:
 def _two_player_cell(game: CapabilityGame, capability: Sequence[int]):
     """``capability`` checked, and the space sizes it gives, in a two-player game."""
     if game.n_players != 2:
-        raise NotTwoPlayer(f"mixed analysis needs 2 players, got {game.n_players}")
+        raise PreconditionViolated(f"mixed analysis needs 2 players, got {game.n_players}")
     return _checked(game, capability)
 
 
@@ -187,8 +182,9 @@ def _pair_boxes(game: CapabilityGame) -> tuple[list[MixedEquilibrium], Boxes]:
 
 def _mixed_cell(game: CapabilityGame, capability: Sequence[int]) -> list[MixedEquilibrium]:
     """The points of the game's pair boxes that hold at ``capability``."""
-    capability, sizes = _two_player_cell(game, capability)
-    _within_bound(*sizes)
+    capability, (m, k) = _two_player_cell(game, capability)
+    if m > DEFAULT_MAX_ACTIONS or k > DEFAULT_MAX_ACTIONS:
+        raise SizeLimitExceeded(f"{m}x{k} exceeds the {DEFAULT_MAX_ACTIONS}-action bound")
     points, boxes = game._pair_boxes
     return [points[i] for i, in cell(boxes, capability)]
 

@@ -1,7 +1,7 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one per kind of failure.
 
-Everything derives from CapgamesError (itself a ValueError) so callers can
-catch broadly or pick the specific condition they care about.
+Everything derives from CapgamesError (itself a ValueError).  The CLI exits
+2 on HypothesisViolation and 1 on every other class.
 """
 
 
@@ -9,75 +9,36 @@ class CapgamesError(ValueError):
     """Base class for all errors raised by this library."""
 
 
-# --- capability-game validation ---
-
-class EmptyGame(CapgamesError):
-    """A game has no players or a player has no actions."""
-
-
-class HierarchyViolation(CapgamesError):
-    """Capability cutoffs are not strictly increasing up to the full action list."""
-
-
-class IncompletePayoffs(CapgamesError):
-    """The payoff table does not assign one vector per full strategy profile."""
+class GameFormatError(CapgamesError):
+    """Malformed input: a game file or description (no players, an empty
+    action list, an action list or cutoff chain that is no sequence, cutoffs
+    that are no integers, do not strictly increase or do not end at the full
+    action list, a payoff table without exactly one vector of the right
+    length per profile), payoff matrices that are no shared nonempty
+    rectangle, strategy bits of the wrong length or not 0/1, and a payoff or
+    payoff parameter that is not an exact rational."""
 
 
-class OutOfBounds(CapgamesError):
-    """A capability level or action index lies outside its valid range."""
-
-
-class UnequalBounds(CapgamesError):
-    """Players do not share a common number of capability levels."""
-
-
-# --- bimatrix equilibrium search ---
-
-class DimensionMismatch(CapgamesError):
-    """Vector or matrix sizes do not line up."""
+class OutOfRange(CapgamesError):
+    """A number outside its range, or no integer where one is needed: a
+    player, capability, action, site, segment count, start bit or line,
+    window or scale, and a value too large to render."""
 
 
 class SizeLimitExceeded(CapgamesError):
-    """A matrix side passes the support-enumeration bound
-    ``DEFAULT_MAX_ACTIONS``."""
-
-
-class NotTwoPlayer(CapgamesError):
-    """A two-player operation was applied to a game with n != 2."""
-
-
-# --- gold-and-mines engine ---
-
-class OutOfRange(CapgamesError):
-    """A location index or segment count is outside its valid range."""
-
-
-class LengthMismatch(CapgamesError):
-    """Strategy bit strings do not match each other or the board length."""
-
-
-class NonConformingInput(CapgamesError):
-    """A strategy has a flip at a non-canonical location where one is required."""
+    """A valid request past a fixed limit: a support-enumeration cell past
+    ``bimatrix.DEFAULT_MAX_ACTIONS``, a board or capability grid past
+    ``goldmines.MAX_CELLS``, and a scale whose brute-force table would pass
+    ``oracle.MAX_TABLE_BYTES``."""
 
 
 class PreconditionViolated(CapgamesError):
-    """A named requirement of the segment-padding routine does not hold."""
-
-
-class InvalidStartLine(CapgamesError):
-    """The requested equilibrium class is inconsistent with the capability regime."""
+    """An operation that does not apply to its input: mixed analysis of a
+    game without two players, welfare levels of players with unequal level
+    counts, a complement cover of an unaligned strategy, a ``pad_segments``
+    requirement, and an equilibrium class that does not exist at the given
+    capabilities."""
 
 
 class HypothesisViolation(CapgamesError):
     """Parameters fall outside the regime 0 < rho < -mu < 1 the closed form needs."""
-
-
-# --- brute-force oracle ---
-
-class ScaleLimitExceeded(CapgamesError):
-    """The board scale is too large for exhaustive enumeration."""
-
-
-class GameFormatError(CapgamesError):
-    """A game description is malformed: a JSON file's structure, or a payoff
-    or payoff parameter that is not an exact rational."""

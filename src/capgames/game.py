@@ -22,20 +22,23 @@ from math import prod
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyGame,
-    GameFormatError,
-    HierarchyViolation,
-    IncompletePayoffs,
-    OutOfBounds,
-    UnequalBounds,
-)
+from .errors import GameFormatError, OutOfRange, PreconditionViolated
 from .rationals import as_fraction, as_integer, scaled, spell
 
 PayoffVector = tuple[Fraction, ...]
 Profile = tuple[int, ...]
 _NOT_ROWS = (str, bytes, Set, Mapping)  # a string row would split; a set has no column order
+
+
+def _rows(value, what: str) -> tuple:
+    """``value`` as a tuple; ``GameFormatError`` for no sequence, or a str,
+    bytes, set or mapping, which would split or lose its order."""
+    if not isinstance(value, _NOT_ROWS):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise GameFormatError(f"{what} must be a sequence, got {spell(value, repr)}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,9 @@ class CapabilityGame:
             the last cutoff equals the length of the action list, so the top
             level is always the unrestricted game.
         payoffs: for every full strategy profile (a tuple of 0-based action
-            indices), one exact rational per player.  Building the game checks
-            it and keeps its own dict of ``Fraction`` vectors, row-major.
+            indices), one exact rational per player.
+        Building the game checks all three and keeps its own copies: tuples of
+        the actions and cutoffs, and a row-major dict of ``Fraction`` vectors.
     """
 
     actions: tuple[tuple[str, ...], ...]
@@ -57,33 +61,40 @@ class CapabilityGame:
     payoffs: Mapping[tuple[int, ...], PayoffVector]
 
     def __post_init__(self):
+        actions = tuple(_rows(acts, f"player {p + 1}: actions")
+                        for p, acts in enumerate(_rows(self.actions, "actions")))
+        object.__setattr__(self, "actions", actions)
         if self.n_players == 0:
-            raise EmptyGame("a game needs at least one player")
-        for p, acts in enumerate(self.actions):
+            raise GameFormatError("a game needs at least one player")
+        for p, acts in enumerate(actions):
             if len(acts) == 0:
-                raise EmptyGame(f"player {p + 1} has no actions")
-        if len(self.cutoffs) != self.n_players:
-            raise HierarchyViolation("one cutoff chain required per player")
+                raise GameFormatError(f"player {p + 1} has no actions")
+        chains = _rows(self.cutoffs, "cutoffs")
+        if len(chains) != self.n_players:
+            raise GameFormatError("one cutoff chain required per player")
         cutoffs = []
-        for p, chain in enumerate(self.cutoffs):
+        for p, chain in enumerate(chains):
             try:
                 chain = tuple(map(as_integer, chain))
             except TypeError:
-                raise HierarchyViolation(f"player {p + 1}: cutoffs must be integers, "
-                                         f"got {spell(chain, repr)}") from None
+                raise GameFormatError(f"player {p + 1}: cutoffs must be integers, "
+                                      f"got {spell(chain, repr)}") from None
             cutoffs.append(chain)
             if len(chain) == 0 or chain[0] < 1:
-                raise HierarchyViolation(f"player {p + 1}: cutoffs must start at 1 or more")
+                raise GameFormatError(f"player {p + 1}: cutoffs must start at 1 or more")
             if any(a >= b for a, b in zip(chain, chain[1:])):
-                raise HierarchyViolation(f"player {p + 1}: cutoffs must strictly increase")
-            if chain[-1] != len(self.actions[p]):
-                raise HierarchyViolation(
+                raise GameFormatError(f"player {p + 1}: cutoffs must strictly increase")
+            if chain[-1] != len(actions[p]):
+                raise GameFormatError(
                     f"player {p + 1}: top level must equal the full action list "
-                    f"({spell(chain[-1])} != {len(self.actions[p])})")
+                    f"({spell(chain[-1])} != {len(actions[p])})")
         object.__setattr__(self, "cutoffs", tuple(cutoffs))
+        if not isinstance(self.payoffs, Mapping):
+            raise GameFormatError(
+                f"payoffs must map profiles to vectors, got {spell(self.payoffs, repr)}")
         counts = tuple(len(a) for a in self.actions)
         if len(self.payoffs) != prod(counts):
-            raise IncompletePayoffs(
+            raise GameFormatError(
                 f"{len(self.payoffs)} payoff entries for {prod(counts)} profiles")
         # one Fraction per distinct exact int or str: True == 1 hashes alike
         shared = {}
@@ -96,14 +107,14 @@ class CapabilityGame:
         payoffs = {}
         for profile in product(*(range(k) for k in counts)):
             if profile not in self.payoffs:
-                raise IncompletePayoffs(f"missing payoff for profile {profile}")
+                raise GameFormatError(f"missing payoff for profile {profile}")
             vec = self.payoffs[profile]
             if not isinstance(vec, Sequence) or isinstance(vec, (str, bytes)):
                 # a string would split into characters
-                raise IncompletePayoffs(
+                raise GameFormatError(
                     f"payoff for {profile} must be a sequence, got {spell(vec, repr)}")
             if len(vec) != self.n_players:
-                raise IncompletePayoffs(
+                raise GameFormatError(
                     f"payoff for {profile} has {len(vec)} entries, want {self.n_players}")
             try:
                 payoffs[profile] = tuple(map(exact, vec))
@@ -122,21 +133,21 @@ class CapabilityGame:
 
     def space_size(self, player: int, level: int) -> int:
         """Number of actions open to ``player`` (0-based) at capability
-        ``level`` (1-based); ``OutOfBounds`` for anything else."""
+        ``level`` (1-based); ``OutOfRange`` for anything else."""
         try:
             player, level = as_integer(player), as_integer(level)
         except TypeError:
-            raise OutOfBounds("player and capability must be integers, "
-                              f"got {spell(player, repr)}, {spell(level, repr)}") from None
+            raise OutOfRange("player and capability must be integers, "
+                             f"got {spell(player, repr)}, {spell(level, repr)}") from None
         if not 0 <= player < self.n_players:
-            raise OutOfBounds(f"player {spell(player)} outside 0..{self.n_players - 1}")
+            raise OutOfRange(f"player {spell(player)} outside 0..{self.n_players - 1}")
         return self._size(player, level)
 
     def _size(self, player: int, level: int) -> int:
         """``space_size`` once ``player`` is checked and ``level`` an integer."""
         b = len(self.cutoffs[player])
         if not 0 < level <= b:
-            raise OutOfBounds(f"capability {spell(level)} for player {player + 1} outside 1..{b}")
+            raise OutOfRange(f"capability {spell(level)} for player {player + 1} outside 1..{b}")
         return self.cutoffs[player][level - 1]
 
     @classmethod
@@ -149,14 +160,14 @@ class CapabilityGame:
     ) -> "CapabilityGame":
         """Build a two-player game from payoff matrices (rows = player 1), the
         one matrix constructor: a shape that is not one nonempty rectangle shared
-        by both raises ``DimensionMismatch``, and the game checks each entry."""
+        by both raises ``GameFormatError``, and the game checks each entry."""
         try:
             a, b = list(u1), list(u2)
             ragged = any(isinstance(r, _NOT_ROWS) or len(r) != len(a[0]) for r in a + b)
         except (TypeError, IndexError):  # a matrix or a row that is no sequence, or no row
             ragged = True
         if ragged or not a or len(b) != len(a) or len(a[0]) == 0:
-            raise DimensionMismatch("payoff matrices need one nonempty rectangular shape")
+            raise GameFormatError("payoff matrices need one nonempty rectangular shape")
         rows, cols = len(a), len(a[0])
         pay = {(i, j): pair for i, ab in enumerate(zip(a, b)) for j, pair in enumerate(zip(*ab))}
         c1 = cutoffs1 if cutoffs1 is not None else (rows,)
@@ -317,14 +328,14 @@ class Positivity(enum.Enum):
 
 
 def _profile(values: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    """``values`` as n ints, numpy integers included; ``OutOfBounds`` for a
+    """``values`` as n ints, numpy integers included; ``OutOfRange`` for a
     wrong length or an entry that is no integer, such as 1.0."""
     try:
         ints = tuple(map(as_integer, values))
     except TypeError:
-        raise OutOfBounds(f"{what} must hold integers, got {spell(values, repr)}") from None
+        raise OutOfRange(f"{what} must hold integers, got {spell(values, repr)}") from None
     if len(ints) != n:
-        raise OutOfBounds(f"{what} has {len(ints)} entries for {n} players")
+        raise OutOfRange(f"{what} has {len(ints)} entries for {n} players")
     return ints
 
 
@@ -348,8 +359,8 @@ def is_pure_ne(
     s = _profile(profile, game.n_players, "profile")
     for p, a in enumerate(s):
         if not 0 <= a < sizes[p]:
-            raise OutOfBounds(f"action {spell(a)} of player {p + 1} "
-                              f"outside restricted space of size {sizes[p]}")
+            raise OutOfRange(f"action {spell(a)} of player {p + 1} "
+                             f"outside restricted space of size {sizes[p]}")
     return s in cell(game._boxes, capability)
 
 
@@ -380,7 +391,7 @@ def equilibrium_welfare_levels(game: CapabilityGame) -> list[frozenset[Fraction]
     """
     bounds = game.bounds
     if len(set(bounds)) > 1:
-        raise UnequalBounds(f"players have different level counts {bounds}")
+        raise PreconditionViolated(f"players have different level counts {bounds}")
     levels = []
     for b in range(1, bounds[0] + 1):
         vectors = ctf_pure(game, (b,) * game.n_players)

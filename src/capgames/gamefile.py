@@ -23,7 +23,7 @@ from itertools import product
 from math import prod
 from pathlib import Path
 
-from .errors import GameFormatError, IncompletePayoffs
+from .errors import GameFormatError
 from .game import CapabilityGame
 
 
@@ -49,18 +49,18 @@ def parse_game(obj) -> CapabilityGame:
                 f'player {p + 1} needs "actions" and "cutoffs"') from None
         if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
             raise GameFormatError(f"player {p + 1}: actions must be an array of strings")
-        actions.append(tuple(acts))
+        actions.append(acts)
         cutoffs.append(cuts)
 
     counts = [len(a) for a in actions]
     expected = prod(counts)
     if not isinstance(raw_payoffs, list) or len(raw_payoffs) != expected:
-        raise IncompletePayoffs(
+        raise GameFormatError(
             f'"payoffs" must list exactly {expected} vectors, got '
             f"{len(raw_payoffs) if isinstance(raw_payoffs, list) else type(raw_payoffs).__name__}")
 
     payoffs = dict(zip(product(*(range(k) for k in counts)), raw_payoffs))
-    return CapabilityGame(tuple(actions), tuple(cutoffs), payoffs)
+    return CapabilityGame(actions, cutoffs, payoffs)
 
 
 def load_game(path: str | Path) -> CapabilityGame:

@@ -42,11 +42,9 @@ from .errors import (
     CapgamesError,
     GameFormatError,
     HypothesisViolation,
-    InvalidStartLine,
-    LengthMismatch,
-    NonConformingInput,
     OutOfRange,
     PreconditionViolated,
+    SizeLimitExceeded,
 )
 from .rationals import as_fraction, as_integer, scaled, spell
 
@@ -120,14 +118,14 @@ def _integer(name: str, value, error: type[CapgamesError] = OutOfRange) -> int:
 # --- board geometry ---
 
 def require_board(scale: int) -> int:
-    """The scale as an int; refuse a non-integer, a board below scale 1 or
-    one of more than ``MAX_CELLS`` sites."""
+    """The scale as an int; ``OutOfRange`` for a non-integer or a board below
+    scale 1, ``SizeLimitExceeded`` for one of more than ``MAX_CELLS`` sites."""
     scale = _integer("board scale", scale)
     if scale < 1:
         raise OutOfRange(f"board scale must be a positive integer: {spell(scale)}")
     if 4 * scale > MAX_CELLS:
-        raise OutOfRange(f"a board at M = {spell(scale)} has 4*M sites, "
-                         f"over the {MAX_CELLS}-site limit")
+        raise SizeLimitExceeded(f"a board at M = {spell(scale)} has 4*M sites, "
+                                f"over the {MAX_CELLS}-site limit")
     return scale
 
 
@@ -155,9 +153,9 @@ def covers(f: Strategy, i: int) -> bool:
 def _check_strategy(f: Sequence[int]) -> int:
     """Return the scale of a well-formed bit sequence."""
     if len(f) == 0 or len(f) % 4 != 0:
-        raise LengthMismatch(f"strategy length {len(f)} is not a positive multiple of 4")
+        raise GameFormatError(f"strategy length {len(f)} is not a positive multiple of 4")
     if any(b not in (0, 1) for b in f):
-        raise LengthMismatch("strategy entries must be bits")
+        raise GameFormatError("strategy entries must be bits")
     return len(f) // 4
 
 
@@ -193,7 +191,7 @@ def payoff(fa: Sequence[int], fb: Sequence[int], params: GameParams) -> tuple[Fr
     """Exact payoffs of a strategy pair under the given parameters."""
     n = params.sites
     if len(fa) != n or len(fb) != n:
-        raise LengthMismatch(
+        raise GameFormatError(
             f"strategies of length {len(fa)}, {len(fb)} on a board of {n} sites")
     sa, sb = summarize(fa), summarize(fb)
     # a gold both players cover pays each of them rho instead of 1
@@ -290,7 +288,7 @@ def build_complement_cover(fb: Sequence[int]) -> Strategy:
     """
     scale = _check_strategy(fb)
     if not is_aligned(fb):
-        raise NonConformingInput("complement construction needs an aligned strategy")
+        raise PreconditionViolated("complement construction needs an aligned strategy")
     bits: list[int] = []
     for k in range(scale):
         left, right = 1 - fb[4 * k], 1 - fb[4 * k + 3]
@@ -361,14 +359,14 @@ def build_equilibrium(params: GameParams, start_a: int) -> tuple[Strategy, Strat
     other's complement cover, padded to exactly its capability.
     """
     require_closed_form_regime(params.rho, params.mu)
-    start_a = _integer("start line", start_a, InvalidStartLine)
+    start_a = _integer("start line", start_a)
     if start_a not in (0, 1):
-        raise InvalidStartLine(f"start line must be 0 or 1, got {spell(start_a)}")
+        raise OutOfRange(f"start line must be 0 or 1, got {spell(start_a)}")
     scale, ca, cb = params.scale, params.cap_a, params.cap_b
     full = 2 * scale + 1
     if start_a not in _start_lines(ca, cb, 2 * scale):
         restricted = "A" if cb >= full else "B"
-        raise InvalidStartLine(
+        raise PreconditionViolated(
             f"only the class with player {restricted} starting on line 0 exists here")
     if max(ca, cb) >= 2 * scale:
         return tuple(staircase(scale, min(c, full), 1 if c >= full else t)
@@ -408,12 +406,12 @@ def equilibrium_payoff_grid(
 
     The parameters, the regime and the two maxima are checked once for the
     whole grid, as one ``GameParams`` with the maxima as its capabilities.
-    A grid of more than ``MAX_CELLS`` cells raises ``OutOfRange``.
+    A grid of more than ``MAX_CELLS`` cells raises ``SizeLimitExceeded``.
     """
     params = GameParams(scale, rho, mu, ca_max, cb_max)
     if params.cap_a * params.cap_b > MAX_CELLS:
-        raise OutOfRange(f"a {spell(params.cap_a)} x {spell(params.cap_b)} "
-                         f"capability grid is over the {MAX_CELLS}-cell limit")
+        raise SizeLimitExceeded(f"a {spell(params.cap_a)} x {spell(params.cap_b)} "
+                                f"capability grid is over the {MAX_CELLS}-cell limit")
     return _payoff_sets(params, range(1, params.cap_a + 1), range(1, params.cap_b + 1))
 
 

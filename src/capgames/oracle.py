@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import goldmines
-from .errors import ScaleLimitExceeded
+from .errors import SizeLimitExceeded
 from .game import _payoff_dtype, cell, ne_boxes
 from .goldmines import GameParams, Strategy
 from .rationals import scaled, spell
@@ -51,8 +51,8 @@ def _classes(scale: int) -> tuple[np.ndarray, ...]:
     need = 8 * bound * (bound + 4 * (sites + 1))  # the table and the DP's two arrays
     if not bound or need > MAX_TABLE_BYTES:
         size = f"up to {need}" if bound else f"2**{spell(4 * scale + 3)} or more"
-        raise ScaleLimitExceeded(f"scale {spell(scale)} may need {size} bytes for its class "
-                                 f"table and DP, over the {MAX_TABLE_BYTES}-byte limit")
+        raise SizeLimitExceeded(f"scale {spell(scale)} may need {size} bytes for its class "
+                                f"table and DP, over the {MAX_TABLE_BYTES}-byte limit")
     # count[last bit, segments, gold set, mines] and the first strategy of
     # each, over the sites so far; no strategy codes as 1 << sites
     shape, none = (2, sites + 1, 4**scale, k + 1), 1 << sites

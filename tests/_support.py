@@ -327,13 +327,7 @@ def support_enumeration_over_fractions(a, b):
 # checks, its site rule, its one-pass engine and its class rule.
 
 from capgames import goldmines, oracle
-from capgames.errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    NonConformingInput,
-    OutOfRange,
-    ScaleLimitExceeded,
-)
+from capgames.errors import GameFormatError, OutOfRange, SizeLimitExceeded
 from capgames.game import _payoff_dtype, cell, ne_boxes
 from capgames.goldmines import GameParams, require_closed_form_regime
 from capgames.rationals import format_rational, scaled, spell
@@ -343,7 +337,7 @@ def parse_strategy(text):
     """A strategy from its 0/1 text; whitespace is ignored."""
     cleaned = "".join(text.split())
     if not all(ch in "01" for ch in cleaned):
-        raise NonConformingInput(f"strategy text must be 0/1 characters: {text!r}")
+        raise GameFormatError(f"strategy text must be 0/1 characters: {text!r}")
     f = tuple(int(ch) for ch in cleaned)
     goldmines._check_strategy(f)
     return f
@@ -352,7 +346,7 @@ def parse_strategy(text):
 def is_complete_gold_coverage(fa, fb):
     """Do the two strategies jointly cover all 2*scale gold sites?"""
     if len(fa) != len(fb):
-        raise LengthMismatch(f"strategy lengths differ: {len(fa)} vs {len(fb)}")
+        raise GameFormatError(f"strategy lengths differ: {len(fa)} vs {len(fb)}")
     for f in (fa, fb):
         goldmines._check_strategy(f)
     return len(coverage_by_rule(fa)[0] | coverage_by_rule(fb)[0]) == len(fa) // 2
@@ -395,7 +389,7 @@ def strategy_bits(scale):
         # M = 1,790 to more than str() converts), so give it as a power;
         # a scale with more digits than that is named by its bits
         size = table_bytes(scale) if scale <= 100 else f"2**{spell(8 * scale + 3)}"
-        raise ScaleLimitExceeded(
+        raise SizeLimitExceeded(
             f"scale {spell(scale)} needs a {size}-byte payoff table, "
             f"over the {oracle.MAX_TABLE_BYTES}-byte limit")
     sites = 4 * scale
@@ -480,9 +474,9 @@ def verify_strict_ne_coverage(params):
 
 def _check_distribution(p, size, label):
     if len(p) != size:
-        raise DimensionMismatch(f"{label} has {len(p)} entries, want {size}")
+        raise GameFormatError(f"{label} has {len(p)} entries, want {size}")
     if any(v < 0 for v in p) or sum(p) != 1:
-        raise DimensionMismatch(f"{label} is not a probability vector")
+        raise GameFormatError(f"{label} is not a probability vector")
 
 
 def expected_payoff(game, x, y):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import capgames
 from capgames import goldmines, oracle
-from capgames.errors import GameFormatError, HypothesisViolation, InvalidStartLine, OutOfRange
+from capgames.errors import (
+    GameFormatError,
+    HypothesisViolation,
+    OutOfRange,
+    PreconditionViolated,
+    SizeLimitExceeded,
+)
 from capgames.goldmines import (
     GameParams,
     build_equilibrium,
@@ -95,12 +101,12 @@ class TestAdmissibleClasses:
 
 class TestBuildEquilibrium:
     def test_bad_start_line_rejected(self):
-        with pytest.raises(InvalidStartLine):
+        with pytest.raises(OutOfRange):
             build_equilibrium(gm(1, 1, 1), 2)
         # A needs the full cover here, so the class with A on line 0 is gone.
-        with pytest.raises(InvalidStartLine, match="player B"):
+        with pytest.raises(PreconditionViolated, match="player B"):
             build_equilibrium(gm(1, 3, 1), 0)
-        with pytest.raises(InvalidStartLine, match="player A"):
+        with pytest.raises(PreconditionViolated, match="player A"):
             build_equilibrium(gm(1, 1, 3), 1)
 
     def test_regime_guard_runs_first(self):
@@ -113,7 +119,7 @@ class TestBuildEquilibrium:
             p = gm(scale, ca, cb)
             for t in (0, 1):
                 if t not in admissible_start_lines(p):
-                    with pytest.raises(InvalidStartLine, match="starting on line 0"):
+                    with pytest.raises(PreconditionViolated, match="starting on line 0"):
                         build_equilibrium(p, t)
                 else:
                     fa, fb = build_equilibrium(p, t)
@@ -189,7 +195,7 @@ class TestBuildEquilibrium:
     def test_refuses_a_board_over_the_site_limit_before_building_it(self):
         tracemalloc.start()
         try:
-            with pytest.raises(OutOfRange, match="M = 1000000000 has 4.M sites"):
+            with pytest.raises(SizeLimitExceeded, match="M = 1000000000 has 4.M sites"):
                 build_equilibrium(gm(10**9, 1, 1), 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -272,7 +278,7 @@ class TestPayoffGrid:
     def test_refuses_a_huge_grid_before_building_it(self):
         tracemalloc.start()
         try:
-            with pytest.raises(OutOfRange, match="1000000 x 1000000"):
+            with pytest.raises(SizeLimitExceeded, match="1000000 x 1000000"):
                 equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 10**6, 10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -282,7 +288,7 @@ class TestPayoffGrid:
     def test_cell_limit_boundary(self, monkeypatch):
         monkeypatch.setattr(goldmines, "MAX_CELLS", 6)
         assert len(equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 3, 2)) == 6
-        with pytest.raises(OutOfRange, match="7 x 1 .* 6-cell limit"):
+        with pytest.raises(SizeLimitExceeded, match="7 x 1 .* 6-cell limit"):
             equilibrium_payoff_grid(1, F(1, 2), F(-3, 4), 7, 1)
 
 

@@ -18,15 +18,7 @@ from capgames import (
     is_capability_positive,
     is_pure_ne,
 )
-from capgames.errors import (
-    DimensionMismatch,
-    EmptyGame,
-    GameFormatError,
-    HierarchyViolation,
-    IncompletePayoffs,
-    OutOfBounds,
-    UnequalBounds,
-)
+from capgames.errors import GameFormatError, OutOfRange, PreconditionViolated
 from capgames.game import cell, ne_boxes
 from tests._support import cell_by_scan, pure_equilibria_by_levels, pure_ne_by_sweep
 
@@ -74,12 +66,12 @@ def test_from_matrices_round_trip():
     ],
 )
 def test_from_matrices_rejects_ragged_or_mismatched_matrices(u1, u2):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(GameFormatError):
         CapabilityGame.from_matrices(u1, u2)
 
 
 def test_from_matrices_hands_its_cutoffs_to_the_game_check():
-    with pytest.raises(HierarchyViolation, match="cutoffs must be integers, got 5"):
+    with pytest.raises(GameFormatError, match="cutoffs must be integers, got 5"):
         CapabilityGame.from_matrices([[1]], [[1]], 5, None)
     game = CapabilityGame.from_matrices([[1, 2]], [[1, 2]], None, np.array([1, 2]))
     assert game.cutoffs == ((1,), (1, 2))
@@ -87,17 +79,17 @@ def test_from_matrices_hands_its_cutoffs_to_the_game_check():
 
 
 def test_construction_rejects_no_players():
-    with pytest.raises(EmptyGame):
+    with pytest.raises(GameFormatError):
         CapabilityGame(actions=(), cutoffs=(), payoffs={})
 
 
 def test_construction_rejects_empty_action_list():
-    with pytest.raises(EmptyGame):
+    with pytest.raises(GameFormatError):
         CapabilityGame(actions=(("a",), ()), cutoffs=((1,), (0,)), payoffs={})
 
 
 def test_construction_rejects_a_missing_chain():
-    with pytest.raises(HierarchyViolation, match="one cutoff chain required per player"):
+    with pytest.raises(GameFormatError, match="one cutoff chain required per player"):
         CapabilityGame((("a",), ("l",)), ((1,),), {(0, 0): (0, 0)})
 
 
@@ -112,7 +104,7 @@ def test_construction_rejects_a_missing_chain():
     ],
 )
 def test_construction_rejects_bad_cutoffs(bad):
-    with pytest.raises(HierarchyViolation):
+    with pytest.raises(GameFormatError):
         CapabilityGame(
             actions=(("a", "b"), ("l", "r")),
             cutoffs=(bad, (1, 2)),
@@ -124,39 +116,39 @@ def test_construction_rejects_missing_and_extra_profiles():
     full = _full_payoffs((2, 2))
     partial = dict(full)
     del partial[(1, 1)]
-    with pytest.raises(IncompletePayoffs):
+    with pytest.raises(GameFormatError):
         CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), partial)
     # the right number of entries, one of them under a key that is no profile
     wrong_key = dict(partial)
     wrong_key[(2, 2)] = (0, 0)
-    with pytest.raises(IncompletePayoffs, match="missing payoff for profile"):
+    with pytest.raises(GameFormatError, match="missing payoff for profile"):
         CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), wrong_key)
     short_vector = dict(full)
     short_vector[(1, 1)] = (0,)
-    with pytest.raises(IncompletePayoffs):
+    with pytest.raises(GameFormatError):
         CapabilityGame((("a", "b"), ("l", "r")), ((1, 2), (1, 2)), short_vector)
 
 
 def test_construction_rejects_a_payoff_that_is_no_sequence():
-    with pytest.raises(IncompletePayoffs, match="must be a sequence"):
+    with pytest.raises(GameFormatError, match="must be a sequence"):
         CapabilityGame((("a",),), ((1,),), {(0,): 5})
 
 
 def test_construction_rejects_a_null_payoff_vector():
     # a listed None is a vector of the wrong kind, not a missing one
-    with pytest.raises(IncompletePayoffs, match="must be a sequence, got None"):
+    with pytest.raises(GameFormatError, match="must be a sequence, got None"):
         CapabilityGame((("a",),), ((1,),), {(0,): None})
 
 
 def test_construction_rejects_a_string_payoff_vector():
     # one character, one player: "7" must not pass as the vector (7,)
-    with pytest.raises(IncompletePayoffs, match="must be a sequence"):
+    with pytest.raises(GameFormatError, match="must be a sequence"):
         CapabilityGame((("a",),), ((1,),), {(0,): "7"})
 
 
 def test_construction_rejects_a_string_cutoff():
     for cutoff in ("1", True):  # a boolean is no integer either
-        with pytest.raises(HierarchyViolation, match="cutoffs must be integers"):
+        with pytest.raises(GameFormatError, match="cutoffs must be integers"):
             CapabilityGame((("a",),), ((cutoff,),), {(0,): (7,)})
 
 
@@ -166,23 +158,66 @@ def test_construction_keeps_integer_cutoffs():
     assert all(type(c) is int for c in g.cutoffs[0])
 
 
+def _pennies_from_lists():
+    payoffs = {(0, 0): [1, -1], (0, 1): [-1, 1], (1, 0): [-1, 1], (1, 1): [1, -1]}
+    return [["a", "b"], ["l", "r"]], [[1, 2], [2]], payoffs
+
+
+def test_construction_copies_the_action_lists():
+    actions, cutoffs, payoffs = _pennies_from_lists()
+    g = CapabilityGame(actions, cutoffs, payoffs)
+    actions[0].append("c")
+    assert g.actions == (("a", "b"), ("l", "r"))
+    assert ctf_pure(g, (2, 1)) == frozenset()
+    assert ctf_pure(g, (1, 1)) == {(-1, 1)}
+
+
+def test_a_game_built_from_lists_equals_the_game_built_from_tuples():
+    actions, cutoffs, payoffs = _pennies_from_lists()
+    as_tuples = CapabilityGame(tuple(map(tuple, actions)), tuple(map(tuple, cutoffs)),
+                               {s: tuple(v) for s, v in payoffs.items()})
+    assert CapabilityGame(actions, cutoffs, payoffs) == as_tuples
+
+
+@pytest.mark.parametrize("labels", ["xy", b"xy", {"x", "y"}, {"x": 0, "y": 1}])
+def test_construction_rejects_an_action_list_that_would_split_or_lose_its_order(labels):
+    with pytest.raises(GameFormatError, match="^player 1: actions must be a sequence, got "):
+        CapabilityGame((labels,), ((1, 2),), {(0,): (1,), (1,): (2,)})
+
+
+def test_construction_rejects_actions_that_are_no_sequence():
+    with pytest.raises(GameFormatError, match="^actions must be a sequence, got 5$"):
+        CapabilityGame(5, ((1,),), {(0,): (1,)})
+
+
+def test_construction_rejects_cutoffs_that_are_no_sequence():
+    with pytest.raises(GameFormatError, match="^cutoffs must be a sequence, got 5$"):
+        CapabilityGame((("a",),), 5, {(0,): (1,)})
+
+
+@pytest.mark.parametrize("payoffs", [None, [((0,), (1,))]])
+def test_construction_rejects_payoffs_that_are_no_mapping(payoffs):
+    with pytest.raises(GameFormatError, match="^payoffs must map profiles to vectors, got "):
+        CapabilityGame((("a",),), ((1,),), payoffs)
+
+
 def test_space_size_rejects_a_level_that_is_no_integer():
     for level in (1.0, True):
-        with pytest.raises(OutOfBounds, match="must be integers"):
+        with pytest.raises(OutOfRange, match="must be integers"):
             SHRINK.space_size(0, level)
 
 
 def test_space_size_rejects_a_player_out_of_range():
-    with pytest.raises(OutOfBounds, match="player 3 outside 0..1"):
+    with pytest.raises(OutOfRange, match="player 3 outside 0..1"):
         SHRINK.space_size(3, 1)
-    with pytest.raises(OutOfBounds, match="player -1 outside 0..1"):
+    with pytest.raises(OutOfRange, match="player -1 outside 0..1"):
         SHRINK.space_size(-1, 1)
     assert SHRINK.space_size(np.int64(1), np.int64(1)) == 2
 
 
 def test_construction_rejects_a_repeated_cutoff():
     # a repeated cutoff would leave level 2 of player 2 without an action
-    with pytest.raises(HierarchyViolation):
+    with pytest.raises(GameFormatError):
         CapabilityGame.from_matrices([[1, 2]], [[1, 2]], cutoffs2=(1, 1, 2))
 
 
@@ -223,17 +258,17 @@ def test_game_keeps_its_own_payoffs():
 def test_restricted_sizes_and_bounds_checks():
     assert [SHRINK.space_size(0, c) for c in (1, 2)] == [1, 2]
     assert SHRINK.space_size(1, 1) == 2
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(OutOfRange):
         ctf_pure(SHRINK, (0, 1))
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(OutOfRange):
         ctf_pure(SHRINK, (3, 1))
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(OutOfRange):
         ctf_pure(SHRINK, (1, 2))  # player 2 has a single level
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(OutOfRange):
         ctf_pure(SHRINK, (1, 1, 1))
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(OutOfRange):
         is_pure_ne(SHRINK, (1, 1), (1, 0))  # action outside the level-1 space
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(OutOfRange):
         is_pure_ne(SHRINK, (1, 1), (0,))  # one action for two players
 
 
@@ -246,20 +281,20 @@ def test_restricted_sizes_and_bounds_checks():
     (lambda: SHRINK.space_size(0, 1.0), "player and capability must be integers, got 0, 1.0"),
 ], ids=["ctf-zero", "ctf-past-top", "ctf-float", "size-zero", "size-past-top", "size-float"])
 def test_ctf_pure_and_space_size_refuse_a_bad_level_with_its_message(read, message):
-    with pytest.raises(OutOfBounds) as refused:
+    with pytest.raises(OutOfRange) as refused:
         read()
     assert str(refused.value) == message
 
 
 def test_capabilities_and_actions_must_be_integers():
-    with pytest.raises(OutOfBounds, match="must hold integers"):
+    with pytest.raises(OutOfRange, match="must hold integers"):
         ctf_pure(SHRINK, (1.0, 1))
-    with pytest.raises(OutOfBounds, match="must hold integers"):
+    with pytest.raises(OutOfRange, match="must hold integers"):
         ctf_pure(SHRINK, ("1", 1))
-    with pytest.raises(OutOfBounds, match="must hold integers"):
+    with pytest.raises(OutOfRange, match="must hold integers"):
         ctf_pure(SHRINK, (True, 1))  # a boolean would read as level 1
     # 1.0 lies inside the restricted space of size 2, so only its type is wrong
-    with pytest.raises(OutOfBounds, match="must hold integers"):
+    with pytest.raises(OutOfRange, match="must hold integers"):
         is_pure_ne(SHRINK, (1, 1), (0, 1.0))
     # numpy integers are integers
     assert ctf_pure(SHRINK, (np.int64(2), np.int32(1))) == {(0, 2)}
@@ -419,7 +454,7 @@ def test_welfare_levels_requires_equal_bounds():
         ((1, 2), (2,)),
         _full_payoffs((2, 2)),
     )
-    with pytest.raises(UnequalBounds):
+    with pytest.raises(PreconditionViolated):
         equilibrium_welfare_levels(g)
 
 

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from capgames.errors import (
     GameFormatError,
     HypothesisViolation,
-    InvalidStartLine,
-    LengthMismatch,
-    NonConformingInput,
     OutOfRange,
     PreconditionViolated,
+    SizeLimitExceeded,
 )
 from capgames.goldmines import (
     GOLD,
@@ -80,9 +78,9 @@ NON_INTEGER_CALLS = {
     "pad_segments-target-float": (
         lambda: pad_segments((1, 0, 0, 0, 0, 0, 0, 0), 3.0, 2), PreconditionViolated),
     "build_equilibrium-float": (
-        lambda: build_equilibrium(GameParams(2, F(1, 4), F(-1, 2), 2, 3), 1.0), InvalidStartLine),
+        lambda: build_equilibrium(GameParams(2, F(1, 4), F(-1, 2), 2, 3), 1.0), OutOfRange),
     "build_equilibrium-bool": (
-        lambda: build_equilibrium(GameParams(2, F(1, 4), F(-1, 2), 2, 3), True), InvalidStartLine),
+        lambda: build_equilibrium(GameParams(2, F(1, 4), F(-1, 2), 2, 3), True), OutOfRange),
 }
 
 
@@ -154,11 +152,11 @@ class TestSummaries:
             assert (s.gold_sites, s.mine_sites) == (gold, mine)
 
     def test_rejects_bad_lengths_and_entries(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(GameFormatError):
             summarize(())
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(GameFormatError):
             summarize((0, 1, 0))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(GameFormatError):
             summarize((0, 1, 2, 1))
 
 
@@ -183,9 +181,9 @@ class TestPayoff:
             assert payoff(fa, fb, p) == naive_payoff(fa, fb, p.rho, p.mu)
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(GameFormatError):
             payoff((0, 0, 0, 0), (0,) * 8, params(1))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(GameFormatError):
             payoff((0, 0, 0, 0), (0, 0, 0, 0), params(2))
 
 
@@ -268,11 +266,11 @@ class TestStaircase:
     def test_refuses_a_board_outside_the_site_limit(self):
         with pytest.raises(OutOfRange, match="board scale must be a positive integer: 0"):
             staircase(0, 1, 1)
-        with pytest.raises(OutOfRange, match="1048576-site limit"):
+        with pytest.raises(SizeLimitExceeded, match="1048576-site limit"):
             perfect_cover(10**9)
         # past the digits str() converts, a scale is named by its bits
         huge = 10**5000
-        with pytest.raises(OutOfRange, match=f"M = <{huge.bit_length()}-bit integer> has"):
+        with pytest.raises(SizeLimitExceeded, match=f"M = <{huge.bit_length()}-bit integer> has"):
             staircase(huge, 1, 1)
         for refused in (lambda: resource_line(-1, huge), lambda: resource_type(-1, huge),
                         lambda: aligned_coverage_counts(0, 0, huge)):
@@ -321,13 +319,13 @@ class TestCoveragePredicates:
         assert is_complete_gold_coverage(perfect_cover(2), (0,) * 8)
         assert is_complete_gold_coverage((1, 1, 1, 1), (0, 0, 0, 0))
         assert not is_complete_gold_coverage((0, 0, 0, 0), (0, 0, 0, 0))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(GameFormatError):
             is_complete_gold_coverage((0, 0, 0, 0), (0,) * 8)
 
 
 class TestComplementCover:
     def test_requires_aligned_input(self):
-        with pytest.raises(NonConformingInput):
+        with pytest.raises(PreconditionViolated):
             build_complement_cover((0, 1, 0, 0))
 
     def test_covers_everything_the_input_missed(self):
@@ -415,7 +413,7 @@ class TestPadSegments:
 
     def test_refuses_a_board_over_the_site_limit(self):
         scale = 2**18 + 1
-        with pytest.raises(OutOfRange, match="1048576-site limit"):
+        with pytest.raises(SizeLimitExceeded, match="1048576-site limit"):
             pad_segments((1,) * (4 * scale - 4) + (1, 0, 0, 0), 3, scale)
 
     @settings(max_examples=200, deadline=None)
@@ -436,10 +434,10 @@ class TestStrategyText:
         assert format_strategy((1, 0, 0, 1)) == "1001"
 
     def test_rejects_garbage(self):
-        with pytest.raises(NonConformingInput):
+        with pytest.raises(GameFormatError):
             parse_strategy("10x1")
         for bad in ["", "101", "10011"]:
-            with pytest.raises(LengthMismatch):
+            with pytest.raises(GameFormatError):
                 parse_strategy(bad)
 
 

@@ -14,7 +14,7 @@ from capgames.errors import (
     GameFormatError,
     HypothesisViolation,
     OutOfRange,
-    ScaleLimitExceeded,
+    SizeLimitExceeded,
 )
 from capgames.goldmines import GameParams
 from capgames.oracle import PayoffTable, verify_closed_form
@@ -139,12 +139,12 @@ class TestEnumeration:
             assert [rows[i] for i in strict] == [f for f, n in every if n == cap]
 
     def test_bounds(self, monkeypatch):
-        with pytest.raises(ScaleLimitExceeded):
+        with pytest.raises(SizeLimitExceeded):
             strategy_bits(4)
         with pytest.raises(OutOfRange):
             strategy_bits(0)
         monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", table_bytes(1) - 1)
-        with pytest.raises(ScaleLimitExceeded, match=str(table_bytes(1))):
+        with pytest.raises(SizeLimitExceeded, match=str(table_bytes(1))):
             strategy_bits(1)
 
 
@@ -180,13 +180,13 @@ class TestPayoffTable:
         assert table_bytes(4) == 34_359_738_368
         assert table_bytes(3) <= oracle.MAX_TABLE_BYTES < table_bytes(4)
         assert strategy_bits(3)[0].shape == (2**12, 12)
-        with pytest.raises(ScaleLimitExceeded):
+        with pytest.raises(SizeLimitExceeded):
             strategy_bits(4)
         # the class game: M = 5 fits, M = 6 does not
         assert class_need(5) == 1_022_590_976
         assert class_need(6) == 22_725_394_432
         assert class_need(5) <= oracle.MAX_TABLE_BYTES < class_need(6)
-        with pytest.raises(ScaleLimitExceeded, match=f"up to {class_need(6)} bytes"):
+        with pytest.raises(SizeLimitExceeded, match=f"up to {class_need(6)} bytes"):
             PayoffTable(6, F(1, 4), F(-1, 2))
 
     # a direct payoff one off for one player; the table must notice either
@@ -220,7 +220,7 @@ class TestPayoffTable:
 
     def test_refuses_a_table_over_the_byte_limit(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", class_need(2) - 1)
-        with pytest.raises(ScaleLimitExceeded, match=f"up to {class_need(2)} bytes"):
+        with pytest.raises(SizeLimitExceeded, match=f"up to {class_need(2)} bytes"):
             PayoffTable(2, F(1, 2), F(-3, 4))
         monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", class_need(2))
         assert len(PayoffTable(2, F(1, 2), F(-3, 4)).strategies) == 44
@@ -231,15 +231,15 @@ class TestPayoffTable:
         tracemalloc.start()
         try:
             for scale in (2000, 10**9):
-                with pytest.raises(ScaleLimitExceeded,
+                with pytest.raises(SizeLimitExceeded,
                                    match=rf"2\*\*{4 * scale + 3} or more bytes"):
                     PayoffTable(scale, F(1, 2), F(-3, 4))
             # past the digits str() converts, the scale is named by its bits
             huge = 10**5000
-            with pytest.raises(ScaleLimitExceeded,
+            with pytest.raises(SizeLimitExceeded,
                                match=f"scale <{huge.bit_length()}-bit integer>"):
                 PayoffTable(huge, F(1, 2), F(-3, 4))
-            with pytest.raises(ScaleLimitExceeded,
+            with pytest.raises(SizeLimitExceeded,
                                match=f"scale <{huge.bit_length()}-bit integer>"):
                 verify_closed_form(GameParams(huge, F(1, 2), F(-3, 4), 1, 1))
             peak = tracemalloc.get_traced_memory()[1]
@@ -425,7 +425,7 @@ class TestEquilibriumSweep:
         ]
 
     def test_scale_guard(self):
-        with pytest.raises(ScaleLimitExceeded):
+        with pytest.raises(SizeLimitExceeded):
             enumerate_pure_equilibria(gm(4, 1, 1))
 
 
@@ -489,7 +489,7 @@ class TestVerification:
             verify_closed_form(gm(1, 1, 1, F(1, 2), F(-2, 5)))
 
     def test_scale_guard(self):
-        with pytest.raises(ScaleLimitExceeded):
+        with pytest.raises(SizeLimitExceeded):
             verify_closed_form(gm(6, 1, 1))
         for scale in (4, 5):
             assert verify_closed_form(gm(scale, 2, 3)).match
@@ -513,5 +513,5 @@ class TestStrictCoverage:
         assert verify_strict_ne_coverage(gm(1, 2, 2, rho, mu)) is holds
 
     def test_scale_guard(self):
-        with pytest.raises(ScaleLimitExceeded):
+        with pytest.raises(SizeLimitExceeded):
             verify_strict_ne_coverage(gm(4, 1, 1))

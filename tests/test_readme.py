@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import capgames
-from capgames import bimatrix, game, gamefile, goldmines, oracle
+from capgames import bimatrix, cli, errors, game, gamefile, goldmines, oracle, rationals
 from capgames.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,9 +66,13 @@ PUBLIC_API = [
 
 # names the library no longer carries; tests/_support.py keeps each one
 # (the oracle's strategy rows as ``strategy_bits``) but ``Bimatrix``, whose
-# games ``CapabilityGame.from_matrices`` builds, and ``restricted_sizes``,
-# which ``space_size`` answers
+# games ``CapabilityGame.from_matrices`` builds, ``restricted_sizes``,
+# which ``space_size`` answers, and the error classes merged into the six
+# of ``errors``
 REMOVED = {
+    errors: ["EmptyGame", "HierarchyViolation", "IncompletePayoffs", "DimensionMismatch",
+             "LengthMismatch", "OutOfBounds", "InvalidStartLine", "ScaleLimitExceeded",
+             "NotTwoPlayer", "UnequalBounds", "NonConformingInput"],
     goldmines: ["parse_strategy", "is_complete_gold_coverage",
                 "admissible_start_lines", "equal_capability_welfare"],
     bimatrix: ["expected_payoff", "is_mixed_ne", "_check_distribution", "Bimatrix"],
@@ -87,6 +91,8 @@ def test_the_package_exports_exactly_its_public_api():
         for name in names:
             assert not hasattr(capgames, name), name
             assert not hasattr(module, name), (module.__name__, name)
+    for module in (bimatrix, cli, game, gamefile, goldmines, oracle, rationals):
+        assert not set(REMOVED[errors]) & set(vars(module)), module.__name__
     assert not {"up_flips", "down_flips"} & set(goldmines.CoverageSummary.__dataclass_fields__)
     assert list(inspect.signature(oracle.PayoffTable.pure_equilibria).parameters) == \
         ["self", "cap_a", "cap_b"]
