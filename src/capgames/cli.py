@@ -17,23 +17,22 @@ Exit codes: 0 success (and verification matched), 1 usage or input errors,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from . import bimatrix, gamefile, goldmines, oracle
+# capgames calls no BLAS routine (every array holds integers), so the thread
+# pool OpenBLAS starts when numpy loads only costs start-up time; a value the
+# user has set wins.  Importing the library alone touches no environment.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# the rest of the library loads in the command that uses it
 from .errors import CapgamesError, HypothesisViolation
-from .game import (
-    equilibrium_welfare_levels,
-    is_capability_positive,
-    ctf_pure,
-)
-from .goldmines import GameParams
+from .game import ctf_pure, equilibrium_welfare_levels, is_capability_positive
 from .rationals import format_rational, parse_rational
 
 # a cell is a string, int, bool, Fraction, or a sorted tuple of payoff vectors
@@ -75,6 +74,7 @@ def _cell_text(cell: Cell, decimal: bool) -> str:
 def render(table: OutputTable, fmt: str, decimal: bool = False) -> str:
     """Serialize a table as aligned text, CSV, or JSON."""
     if fmt == "json":
+        import json
         payload = {
             "header": table.header,
             "rows": [[_cell_json(c, decimal) for c in row] for row in table.rows],
@@ -84,6 +84,7 @@ def render(table: OutputTable, fmt: str, decimal: bool = False) -> str:
         [_cell_text(c, decimal) for c in row] for row in table.rows
     ]
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(text_rows)
@@ -109,6 +110,9 @@ def cmd_goldmines_ctf(
     """Closed-form payoff sets over the capability grid, from one
     ``equilibrium_payoff_grid`` pass, optionally checked cell by cell against
     brute force, which refuses a board past its table limit."""
+    from . import goldmines
+    if verify:
+        from . import oracle
     header = ["cap_a", "cap_b", "payoffs"] + (["match"] if verify else [])
     table = OutputTable(header)
     grid = goldmines.equilibrium_payoff_grid(scale, rho, mu, ca_max, cb_max)
@@ -116,7 +120,8 @@ def cmd_goldmines_ctf(
     for (ca, cb), payoffs in zip(cells, grid):
         row: list[Cell] = [ca, cb, _vector_set(payoffs)]
         if verify:
-            row.append(oracle.verify_closed_form(GameParams(scale, rho, mu, ca, cb)).match)
+            params = goldmines.GameParams(scale, rho, mu, ca, cb)
+            row.append(oracle.verify_closed_form(params).match)
         table.rows.append(row)
     return table
 
@@ -124,7 +129,8 @@ def cmd_goldmines_ctf(
 def cmd_goldmines_equilibrium(
     scale: int, rho: Fraction, mu: Fraction, ca: int, cb: int, start_a: int
 ) -> OutputTable:
-    params = GameParams(scale, rho, mu, ca, cb)
+    from . import goldmines
+    params = goldmines.GameParams(scale, rho, mu, ca, cb)
     fa, fb = goldmines.build_equilibrium(params, start_a)
     ua, ub = goldmines.payoff(fa, fb, params)
     table = OutputTable(
@@ -137,6 +143,7 @@ def cmd_goldmines_equilibrium(
 
 
 def cmd_goldmines_layout(scale: int) -> OutputTable:
+    from . import goldmines
     goldmines.require_board(scale)
     table = OutputTable(["site", "line", "type"])
     for i in range(4 * scale):
@@ -148,7 +155,8 @@ def cmd_goldmines_layout(scale: int) -> OutputTable:
 def cmd_goldmines_verify(
     scale: int, rho: Fraction, mu: Fraction, ca: int, cb: int, decimal: bool = False
 ) -> tuple[OutputTable, oracle.VerificationReport]:
-    params = GameParams(scale, rho, mu, ca, cb)
+    from . import goldmines, oracle
+    params = goldmines.GameParams(scale, rho, mu, ca, cb)
     report = oracle.verify_closed_form(params)
     table = OutputTable(["field", "value"])
     table.rows = [
@@ -173,10 +181,13 @@ def cmd_goldmines_verify(
 
 def cmd_game_ctf(path: str, mode: str = "pure") -> OutputTable:
     """Transfer function of a JSON game, one row per capability profile."""
+    from . import gamefile
     game = gamefile.load_game(path)
     caps = [f"c{p + 1}" for p in range(game.n_players)]
     header = caps + ["payoffs"] + (["degenerate"] if mode == "mixed" else [])
     table = OutputTable(header)
+    if mode == "mixed":
+        from . import bimatrix
     for profile in product(*(range(1, b + 1) for b in game.bounds)):
         if mode == "mixed":
             result = bimatrix.ctf_mixed(game, profile)
@@ -188,6 +199,7 @@ def cmd_game_ctf(path: str, mode: str = "pure") -> OutputTable:
 
 
 def cmd_game_capability_positive(path: str) -> OutputTable:
+    from . import gamefile
     game = gamefile.load_game(path)
     table = OutputTable(["level", "welfare"])
     for b, welfare in enumerate(equilibrium_welfare_levels(game), start=1):
@@ -213,6 +225,7 @@ def _run_goldmines_ctf(args: argparse.Namespace) -> int:
 
 def verify_json(report: oracle.VerificationReport, decimal: bool = False) -> dict:
     """``goldmines verify --format json``'s document, spelled by ``_cell_json``."""
+    from . import goldmines
     p, as_json = report.params, lambda cell: _cell_json(cell, decimal)
     return {
         "scale": p.scale, "rho": as_json(p.rho), "mu": as_json(p.mu), "cap_a": p.cap_a,
@@ -230,6 +243,7 @@ def _run_goldmines_verify(args: argparse.Namespace) -> int:
     table, report = cmd_goldmines_verify(args.scale, args.rho, args.mu,
                                          args.ca, args.cb, args.decimal)
     if args.format == "json":
+        import json
         print(json.dumps(verify_json(report, args.decimal), indent=2))
     else:
         _show(table, args)
@@ -334,7 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit's flush
+        return code
+    except BrokenPipeError:
+        # the reader went away (`capgames ... | head -1`): print nothing, and
+        # point stdout at devnull so that the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except HypothesisViolation as bad:
         print(f"capgames: parameter hypothesis violated: {bad}", file=sys.stderr)
         return 2

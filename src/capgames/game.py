@@ -13,8 +13,9 @@ All payoffs are exact rationals; nothing here is ever rounded.
 from __future__ import annotations
 
 import enum
+from types import MappingProxyType
 from collections.abc import Iterable, Mapping, Sequence, Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -53,12 +54,14 @@ class CapabilityGame:
         payoffs: for every full strategy profile (a tuple of 0-based action
             indices), one exact rational per player.
         Building the game checks all three and keeps its own copies: tuples of
-        the actions and cutoffs, and a row-major dict of ``Fraction`` vectors.
+        the actions and cutoffs, and a read-only row-major mapping of
+        ``Fraction`` vectors, so the forms cached from it never go stale.
+        A game hashes by its actions and cutoffs.
     """
 
     actions: tuple[tuple[str, ...], ...]
     cutoffs: tuple[tuple[int, ...], ...]
-    payoffs: Mapping[tuple[int, ...], PayoffVector]
+    payoffs: Mapping[tuple[int, ...], PayoffVector] = field(hash=False)
 
     def __post_init__(self):
         actions = tuple(_rows(acts, f"player {p + 1}: actions")
@@ -120,7 +123,11 @@ class CapabilityGame:
                 payoffs[profile] = tuple(map(exact, vec))
             except (TypeError, ValueError) as bad:
                 raise GameFormatError(f"profile {profile}: {bad}") from None
-        object.__setattr__(self, "payoffs", payoffs)
+        object.__setattr__(self, "payoffs", MappingProxyType(payoffs))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; the game rebuilds from a plain dict
+        return type(self), (self.actions, self.cutoffs, dict(self.payoffs))
 
     @property
     def n_players(self) -> int:

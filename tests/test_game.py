@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -177,6 +179,32 @@ def test_a_game_built_from_lists_equals_the_game_built_from_tuples():
     as_tuples = CapabilityGame(tuple(map(tuple, actions)), tuple(map(tuple, cutoffs)),
                                {s: tuple(v) for s, v in payoffs.items()})
     assert CapabilityGame(actions, cutoffs, payoffs) == as_tuples
+
+
+def test_payoffs_are_read_only_so_cached_cells_stay_right():
+    g = CapabilityGame.from_matrices([[1, -1], [2, 0]], [[2, 1], [1, 2]], (1, 2), (2,))
+    before = ctf_pure(g, (2, 1))
+    with pytest.raises(TypeError):
+        g.payoffs[(1, 0)] = (-5, -5)
+    assert g.payoffs[(1, 0)] == (2, 1)
+    assert ctf_pure(g, (2, 1)) == before
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_game_equals_the_original_cell_for_cell(clone):
+    ctf_pure(SHRINK, (2, 1))  # a copy is rebuilt, not a snapshot of cached forms
+    other = clone(SHRINK)
+    assert other == SHRINK and other is not SHRINK
+    for capability in [(1, 1), (2, 1)]:
+        assert ctf_pure(other, capability) == ctf_pure(SHRINK, capability)
+
+
+def test_equal_games_hash_alike():
+    actions, cutoffs, payoffs = _pennies_from_lists()
+    games = {CapabilityGame(actions, cutoffs, payoffs), CapabilityGame(actions, cutoffs, payoffs)}
+    assert len(games) == 1
+    assert hash(SHRINK) == hash(pickle.loads(pickle.dumps(SHRINK)))
 
 
 @pytest.mark.parametrize("labels", ["xy", b"xy", {"x", "y"}, {"x": 0, "y": 1}])
