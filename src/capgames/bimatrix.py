@@ -3,13 +3,14 @@ enumeration; a bimatrix game is the one-level game of ``from_matrices``.
 
 Every candidate support pair of equal size induces square indifference systems
 over the game's integer form, the one the pure engine reads, so the equilibria
-(and the degeneracy verdicts) are exact.  Unequal-support equilibria only
-occur in degenerate games, and there only basic solutions are reported, never
-whole continua.  The first ``ctf_mixed`` or ``support_enumeration`` call on a
-game solves each support pair once and keeps its box; every call reads its
-cell from the boxes.  The degenerate flag covers a singular system or a zero
-support weight only: a best reply outside the support that ties is not
-flagged, so a continuum can go unmarked.
+(and the degeneracy verdicts) are exact; pairs with a conditionally dominated
+line (Porter, Nudelman & Shoham 2008) fail at every cell and go unsolved.
+Unequal-support equilibria only occur in degenerate games, and there only basic
+solutions are reported, never whole continua.  The first ``ctf_mixed`` or
+``support_enumeration`` call on a game solves each support pair once and keeps
+its box; every call reads its cell from the boxes.  The degenerate flag covers
+a singular system or a zero support weight only: a best reply outside the
+support that ties is not flagged, so a continuum can go unmarked.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _embed(weights: list[Fraction], support: tuple[int, ...], size: int) -> tupl
 
 def support_enumeration(game: CapabilityGame) -> list[MixedEquilibrium]:
     """All equilibria on equal-size supports of a two-player game's top cell,
-    ``game.bounds``, in support-bitmask order.
+    ``game.bounds``, by support size, then rows, then columns, lexicographically.
 
     Complete for nondegenerate games.  For degenerate ones every emitted
     point is still exact and verified, and unequal-support continua are
@@ -130,18 +131,32 @@ def restrict_to_bimatrix(game: CapabilityGame, capability: Sequence[int]) -> Cap
                           {s: game.payoffs[s] for s in product(*map(range, sizes))})
 
 
+def _beaten(lines: list[list[int]], level: list[int]) -> list[list[int]]:
+    """Per bitmask S of the other player's lines and own line t, the bitmask of own lines
+    strictly beaten on all of S by a line of level <= ``level[t]``; ``level`` as in ``sides``."""
+    grid, own = np.array(lines), np.array(level[:-1])
+    subsets = np.arange(1 << grid.shape[1])[:, None] >> np.arange(grid.shape[1]) & 1 == 1  # [S, j]
+    # [S, h, i]: line h beats line i at every index in S
+    covers = ~((grid[:, None] <= grid[None])[None] & subsets[:, None, None]).any(-1)
+    low = np.where(covers, own[:, None], level[-1]).min(axis=1)  # [S, i]: lowest beating level
+    return ((low[:, None] <= own[:, None]) << np.arange(len(own))).sum(-1).tolist()
+
+
 def _pair_boxes(game: CapabilityGame) -> tuple[list[MixedEquilibrium], Boxes]:
     """The points of the equal-size support pairs (R, C) of a two-player game's
     top-left subgame within the action bound that are equilibria at some
-    capability cell, in support-bitmask order, and their boxes, whose rows
-    ``cell`` reads as indices into the points.  The indifference systems depend
-    only on the supports, so the pair is an equilibrium at (ca, cb) exactly
-    when ``lo <= (ca, cb) <= hi``: ``lo`` holds the levels of R's last row and
-    C's last column, ``hi`` ends just below the level of the first row
-    (column) that strictly beats the value.  The systems run on the game's
-    integer rows of A (for y) and columns of B (for x): one scale per player
-    leaves the weights alone and scales the value, which is then divided by
-    the player's denominator, and the beat check runs in integers.
+    capability cell, by support size, then rows, then columns, lexicographically,
+    and their boxes, whose rows ``cell`` reads as indices into the points.  The
+    indifference systems depend only on the supports, so the pair is an
+    equilibrium at (ca, cb) exactly when ``lo <= (ca, cb) <= hi``: ``lo`` holds
+    the levels of R's last row and C's last column, ``hi`` ends just below the
+    level of the first row (column) that strictly beats the value.  A pair is
+    skipped unsolved when a row of R is strictly beaten on all of C, in A, by a
+    row of level at most ``lo``'s (or a column of C on all of R, in B): that
+    row beats the value against any y on C, so the pair fails at ``lo``.  The
+    systems run on the game's integer rows of A (for y) and columns of B (for
+    x): one scale per player leaves the weights alone and scales the value,
+    which is then divided by the player's denominator; beat checks use integers.
     """
     utilities, levels, denominators = game._integer_form
     m, k = (max(c for c in chain if c <= DEFAULT_MAX_ACTIONS) for chain in game.cutoffs)
@@ -149,10 +164,15 @@ def _pair_boxes(game: CapabilityGame) -> tuple[list[MixedEquilibrium], Boxes]:
     # each line's level, and past the last line the level that no line beats
     sides = [(lines, np.append(level[:n], level[n - 1] + 1).tolist())
              for lines, level, n in zip((a.tolist(), b.T.tolist()), levels, (m, k))]
+    beaten_rows, beaten_cols = (_beaten(lines, level) for lines, level in sides)
     points, boxes = [], []
     for size in range(1, min(m, k) + 1):
+        col_sets = [(cols, sum(1 << j for j in cols)) for cols in combinations(range(k), size)]
         for rows in combinations(range(m), size):
-            for cols in combinations(range(k), size):
+            rmask = sum(1 << i for i in rows)
+            for cols, cmask in col_sets:
+                if rmask & beaten_rows[cmask][rows[-1]] or cmask & beaten_cols[rmask][cols[-1]]:
+                    continue
                 # indifference makes x'Ay = u and x'By = v, so the two beat checks
                 # are the equilibrium test; x waits until y holds at the lowest cell
                 replies = []

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from capgames import (
     restrict_to_bimatrix,
     support_enumeration,
 )
+from capgames.bimatrix import MixedEquilibrium
 from capgames.errors import GameFormatError, PreconditionViolated, SizeLimitExceeded
 from capgames.game import cell
 from tests._support import (
@@ -84,6 +85,19 @@ def test_zero_game_flags_degeneracy():
     found = support_enumeration(zero)
     assert {eq.values for eq in found} == {(0, 0)}
     assert any(eq.degenerate for eq in found)
+
+
+def test_support_enumeration_lists_points_by_support_size_then_rows_then_columns():
+    # the pure point (r3, c3) comes before the {r1, r2} mix, whose row
+    # bitmask 3 is below r3's 4: the order is not the bitmask order
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    found = support_enumeration(CapabilityGame.from_matrices(eye, eye))
+    supports = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    expected = []
+    for support in supports:
+        mix = tuple(F(1, len(support)) if i in support else F(0) for i in range(3))
+        expected.append((mix, mix, (F(1, len(support)),) * 2, False))
+    assert [(eq.x, eq.y, eq.values, eq.degenerate) for eq in found] == expected
 
 
 def test_every_reported_equilibrium_verifies():
@@ -300,6 +314,8 @@ def test_the_grid_solves_each_support_pair_of_the_game_at_most_once(monkeypatch)
         ctf_mixed(game, caps)
     # the full game has sum C(6, s)**2 = 923 support pairs, two systems each
     assert 0 < len(calls) <= 2 * 923
+    # pairs with a conditionally dominated line go unsolved: 1,006 calls without
+    assert len(calls) == 320
     calls.clear()
     for caps in cells:
         ctf_mixed(game, caps)
@@ -326,3 +342,48 @@ def test_wide_payoffs_match_elimination_over_fractions(width, dtype):
         found = support_enumeration(CapabilityGame.from_matrices(a, b))
         assert [(eq.x, eq.y, eq.values, eq.degenerate) for eq in found] == (
             support_enumeration_over_fractions(a, b))
+
+
+def test_conditional_dominance_skips_only_pairs_that_fail_on_five_and_six_action_games():
+    # sizes where most support pairs are skipped unsolved: every cell, and
+    # the top cell's points with their order and flags, against the
+    # reference, which solves every pair over Fractions
+    rng = random.Random(3060)
+    for n, (lo, hi) in product((5, 6), ((-1000, 1000), (0, 2))):
+        a, b = ([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        c1, c2 = ([i for i in range(1, n) if rng.random() < 0.5] + [n] for _ in range(2))
+        game = _assert_every_cell_matches_elimination_over_fractions(a, b, c1, c2)
+        assert [(eq.x, eq.y, eq.values, eq.degenerate) for eq in support_enumeration(game)] == (
+            support_enumeration_over_fractions(a, b))
+
+
+@pytest.mark.parametrize("name", ["zero", "identity"])
+def test_games_with_no_dominated_line_keep_every_point_and_box(name, monkeypatch):
+    # 8x8, levels 2, 4, 6, 8: no line strictly beats another on a whole
+    # support of two or more, so the skip may drop nothing.  In the zero game
+    # every pair is a (degenerate past size 1) equilibrium on the unit
+    # vectors of its first row and column; in the identity game the diagonal
+    # pairs are, uniformly mixed; no line ever beats the value
+    eye = [[int(i == j) for j in range(8)] for i in range(8)]
+    matrix = [[0] * 8] * 8 if name == "zero" else eye
+    solve, calls = bimatrix._solve, []
+    monkeypatch.setattr(bimatrix, "_solve", lambda *args: calls.append(args) or solve(*args))
+    points, boxes = bimatrix._pair_boxes(
+        CapabilityGame.from_matrices(matrix, matrix, (2, 4, 6, 8), (2, 4, 6, 8)))
+    expected, lows = [], []
+    for size in range(1, 9):
+        for rows, cols in product(combinations(range(8), size), repeat=2):
+            if name == "zero":
+                x, y = ([F(int(i == s[0])) for i in range(8)] for s in (rows, cols))
+                expected.append(MixedEquilibrium(tuple(x), tuple(y), (0, 0), size > 1))
+            elif rows == cols:
+                mix = tuple(F(1, size) if i in rows else F(0) for i in range(8))
+                expected.append(MixedEquilibrium(mix, mix, (F(1, size),) * 2, False))
+            else:
+                continue
+            lows.append((rows[-1] // 2 + 1, cols[-1] // 2 + 1))
+    assert points == expected
+    assert boxes.lo.tolist() == [list(low) for low in lows]
+    assert boxes.hi.tolist() == [[4, 4]] * len(points)
+    if name == "zero":
+        assert len(calls) == 2 * 12869  # nothing is beaten, so every pair is solved
