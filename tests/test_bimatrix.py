@@ -12,12 +12,12 @@ from capgames import bimatrix
 from capgames import (
     CapabilityGame,
     MixedCtf,
+    MixedEquilibrium,
     ctf_mixed,
     ctf_pure,
     restrict_to_bimatrix,
     support_enumeration,
 )
-from capgames.bimatrix import MixedEquilibrium
 from capgames.errors import GameFormatError, PreconditionViolated, SizeLimitExceeded
 from capgames.game import cell
 from tests._support import (
@@ -358,7 +358,7 @@ def test_conditional_dominance_skips_only_pairs_that_fail_on_five_and_six_action
 
 
 @pytest.mark.parametrize("name", ["zero", "identity"])
-def test_games_with_no_dominated_line_keep_every_point_and_box(name, monkeypatch):
+def test_zero_and_identity_8x8_games_keep_every_point_and_box(name, monkeypatch):
     # 8x8, levels 2, 4, 6, 8: no line strictly beats another on a whole
     # support of two or more, so the skip may drop nothing.  In the zero game
     # every pair is a (degenerate past size 1) equilibrium on the unit
