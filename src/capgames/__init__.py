@@ -28,35 +28,7 @@ _EXPORTS = {
     **dict.fromkeys(["VerificationReport", "verify_closed_form"], "oracle"),
 }
 
-__all__ = [
-    "CapabilityGame",
-    "CoverageSummary",
-    "GameParams",
-    "MixedCtf",
-    "MixedEquilibrium",
-    "Positivity",
-    "VerificationReport",
-    "build_complement_cover",
-    "build_equilibrium",
-    "ctf_mixed",
-    "ctf_pure",
-    "enumerate_pure_ne",
-    "equilibrium_payoff_grid",
-    "equilibrium_payoffs",
-    "equilibrium_welfare_levels",
-    "is_capability_positive",
-    "is_pure_ne",
-    "load_game",
-    "pad_segments",
-    "parse_game",
-    "payoff",
-    "perfect_cover",
-    "restrict_to_bimatrix",
-    "staircase",
-    "summarize",
-    "support_enumeration",
-    "verify_closed_form",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

@@ -87,6 +87,15 @@ def test_zero_game_flags_degeneracy():
     assert any(eq.degenerate for eq in found)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the degenerate flag misses a best reply outside the support that ties with "
+    "the value: both points, (1, 2) and (1, 1), report degenerate=False"))
+def test_a_tie_outside_the_support_flags_the_continuum():
+    # every mix of the two rows is an equilibrium: payoffs (1, 1 + p), p in [0, 1]
+    tie = CapabilityGame.from_matrices([[1], [1]], [[2], [1]])
+    assert ctf_mixed(tie, (1, 1)).degenerate is True
+
+
 def test_support_enumeration_lists_points_by_support_size_then_rows_then_columns():
     # the pure point (r3, c3) comes before the {r1, r2} mix, whose row
     # bitmask 3 is below r3's 4: the order is not the bitmask order

@@ -51,6 +51,9 @@ def test_every_export_resolves_on_first_use():
     listed, star = names
     assert set(capgames.__all__) <= set(listed)
     assert star == sorted(capgames.__all__)
+    # each name maps to the module that defines it, not one that re-imports it
+    for name in capgames.__all__:
+        assert getattr(capgames, name).__module__ == "capgames." + capgames._EXPORTS[name], name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         capgames.no_such_name
 
