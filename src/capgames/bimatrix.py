@@ -19,13 +19,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
 
 import numpy as np
 
 from .errors import PreconditionViolated, SizeLimitExceeded
 from .game import Boxes, CapabilityGame, _checked, cell
-from .rationals import scaled
 
 DEFAULT_MAX_ACTIONS = 8
 
@@ -46,21 +44,22 @@ class MixedEquilibrium:
 
 
 def _solve(rows: list[list[int]], nvars: int):
-    """Gauss-Jordan over the integers on an augmented matrix.
-
-    Rows are combined fraction-free (each step scales the target row by the
-    pivot and divides out the row's gcd), so the pivot columns, and with
-    them the reduced row echelon form, are those of elimination over the
-    rationals; only the solution is built from Fractions.  Returns
-    (solution, status) where status is "unique", "degenerate" (consistent
-    but underdetermined; free variables pinned to zero) or "inconsistent"
-    (solution is None).
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on an integer
+    augmented matrix: each row but the pivot row becomes ``(p * row - f * top)
+    // prev``, an exact division, so every entry stays a minor of the input.
+    The pivot is the column's first nonzero entry, so the pivot columns and the
+    solution are those of elimination over the rationals.  Returns (numerators,
+    den, status): the solution is ``numerators / den`` with ``den`` > 0, the
+    last pivot up to sign; status is "unique", "degenerate" (consistent but
+    underdetermined; free variables pinned to zero) or "inconsistent"
+    (numerators is None).
     """
     work = [row[:] for row in rows]
     n = len(work)
     pivots: list[tuple[int, int]] = []
-    r = 0
+    prev = 1
     for c in range(nvars):
+        r = len(pivots)
         pivot = next((i for i in range(r, n) if work[i][c] != 0), None)
         if pivot is None:
             continue
@@ -69,27 +68,26 @@ def _solve(rows: list[list[int]], nvars: int):
         p = top[c]
         for i in range(n):
             f = work[i][c]
-            if i != r and f != 0:
-                row = [p * v - f * w for v, w in zip(work[i], top)]
-                g = gcd(*row)
-                work[i] = [v // g for v in row] if g > 1 else row
+            # with f == 0 the update only rescales the row by p / prev
+            if i != r and (f != 0 or p != prev):
+                work[i] = [(p * v - f * w) // prev for v, w in zip(work[i], top)]
         pivots.append((r, c))
-        r += 1
-        if r == n:
+        prev = p
+        if r + 1 == n:
             break
-    for i in range(r, n):
-        if work[i][nvars] != 0:
-            return None, "inconsistent"
-    solution = [Fraction(0)] * nvars
+    if any(row[nvars] != 0 for row in work[len(pivots):]):
+        return None, 0, "inconsistent"
+    sign = -1 if prev < 0 else 1
+    numerators = [0] * nvars
     for row, col in pivots:
-        solution[col] = Fraction(work[row][nvars], work[row][col])
-    return solution, ("unique" if len(pivots) == nvars else "degenerate")
+        numerators[col] = sign * work[row][nvars]
+    return numerators, sign * prev, ("unique" if len(pivots) == nvars else "degenerate")
 
 
-def _embed(weights: list[Fraction], support: tuple[int, ...], size: int) -> tuple[Fraction, ...]:
+def _embed(nums: list[int], den: int, support: tuple[int, ...], size: int) -> tuple[Fraction, ...]:
     full = [Fraction(0)] * size
-    for w, idx in zip(weights, support):
-        full[idx] = w
+    for w, idx in zip(nums, support):  # the value's numerator, past the weights, is dropped
+        full[idx] = Fraction(w, den)
     return tuple(full)
 
 
@@ -156,9 +154,11 @@ def _pair_boxes(game: CapabilityGame) -> tuple[list[MixedEquilibrium], Boxes]:
     row beats the value against any y on C, so the pair fails at ``lo``.  The
     systems run on the game's integer rows of A (for y) and columns of B (for
     x): one scale per player leaves the weights alone and scales the value,
-    which is then divided by the player's denominator; beat checks use integers.
+    which is then divided by the player's denominator.  A solve returns integers
+    over one positive denominator, so the sign and beat checks use integers and
+    Fractions are built only for the points emitted.
     """
-    utilities, levels, denominators = game._integer_form
+    utilities, levels, (den_a, den_b) = game._integer_form
     m, k = (max(c for c in chain if c <= DEFAULT_MAX_ACTIONS) for chain in game.cutoffs)
     a, b = (u[:m, :k] for u in utilities)
     # each line's level, and past the last line the level that no line beats
@@ -176,25 +176,25 @@ def _pair_boxes(game: CapabilityGame) -> tuple[list[MixedEquilibrium], Boxes]:
                 # indifference makes x'Ay = u and x'By = v, so the two beat checks
                 # are the equilibrium test; x waits until y holds at the lowest cell
                 replies = []
-                for (lines, level), own, other, den in zip(sides, (rows, cols), (cols, rows),
-                                                           denominators):
+                for (lines, level), own, other in zip(sides, (rows, cols), (cols, rows)):
                     system = [[lines[i][j] for j in other] + [-1, 0] for i in own]
                     system.append([1] * size + [0, 1])
-                    solution, status = _solve(system, size + 1)
+                    solution, den, status = _solve(system, size + 1)
                     if status == "inconsistent" or any(w < 0 for w in solution[:size]):
                         break
-                    *weights, value = solution
-                    (target, *mix), _ = scaled([value, *weights])
+                    *mix, target = solution
                     beat = next((i for i, line in enumerate(lines) if sum(
                         line[j] * w for j, w in zip(other, mix)) > target), len(lines))
                     if level[beat] <= level[own[-1]]:
                         break
-                    replies.append((weights, value / den, status == "degenerate" or 0 in weights,
+                    replies.append((solution, den, status == "degenerate" or 0 in mix,
                                     level[own[-1]], level[beat] - 1))
                 else:
-                    (ys, u, y_flag, lo_a, hi_a), (xs, v, x_flag, lo_b, hi_b) = replies
-                    points.append(MixedEquilibrium(_embed(xs, rows, m), _embed(ys, cols, k),
-                                                   (u, v), x_flag or y_flag))
+                    (ys, y_den, y_flag, lo_a, hi_a), (xs, x_den, x_flag, lo_b, hi_b) = replies
+                    values = (Fraction(ys[-1], y_den * den_a), Fraction(xs[-1], x_den * den_b))
+                    points.append(MixedEquilibrium(_embed(xs, x_den, rows, m),
+                                                   _embed(ys, y_den, cols, k),
+                                                   values, x_flag or y_flag))
                     boxes.append((lo_a, lo_b, hi_a, hi_b))
     boxes = np.array(boxes, dtype=int).reshape(-1, 4)
     return points, Boxes(np.arange(len(points))[:, None], boxes[:, :2], boxes[:, 2:])

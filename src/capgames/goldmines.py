@@ -129,18 +129,22 @@ def require_board(scale: int) -> int:
     return scale
 
 
-def resource_line(i: int, scale: int) -> int:
-    """Line (0 or 1) that site i sits on."""
+def _site(i: int, scale: int) -> int:
+    if type(i) is not int or type(scale) is not int:  # summaries check every site
+        i, scale = _integer("site", i), _integer("board scale", scale)
     if not 0 <= i < 4 * scale:
         raise OutOfRange(f"site {spell(i)} outside 0..{spell(4 * scale - 1)}")
-    return (i + 1) % 2
+    return i
+
+
+def resource_line(i: int, scale: int) -> int:
+    """Line (0 or 1) that site i sits on."""
+    return (_site(i, scale) + 1) % 2
 
 
 def resource_type(i: int, scale: int) -> str:
     """GOLD for i % 4 in {0, 1}, MINE otherwise."""
-    if not 0 <= i < 4 * scale:
-        raise OutOfRange(f"site {spell(i)} outside 0..{spell(4 * scale - 1)}")
-    return GOLD if i % 4 <= 1 else MINE
+    return GOLD if _site(i, scale) % 4 <= 1 else MINE
 
 
 def covers(f: Strategy, i: int) -> bool:

@@ -75,13 +75,24 @@ MUTANTS = [
            BIMATRIX, "level[own[-1]], level[beat] - 1))", "level[own[-1]], level[beat]))",
            "tests/test_bimatrix.py"),
     Mutant("_pair_boxes: a zero weight is not flagged",
-           BIMATRIX, 'status == "degenerate" or 0 in weights', 'status == "degenerate"',
+           BIMATRIX, 'status == "degenerate" or 0 in mix', 'status == "degenerate"',
            "tests/test_bimatrix.py"),
     Mutant("_solve: rows are added, not eliminated",
-           BIMATRIX, "row = [p * v - f * w for", "row = [p * v + f * w for",
+           BIMATRIX, "[(p * v - f * w) // prev for", "[(p * v + f * w) // prev for",
            "tests/test_bimatrix.py"),
     Mutant("_solve: no elimination above the pivot",
-           BIMATRIX, "if i != r and f != 0:", "if i > r and f != 0:", "tests/test_bimatrix.py"),
+           BIMATRIX, "if i != r and (f != 0", "if i > r and (f != 0", "tests/test_bimatrix.py"),
+    Mutant("_solve: rows are not divided by the previous pivot",
+           BIMATRIX, "f * w) // prev for", "f * w) // 1 for", "tests/test_bimatrix.py"),
+    Mutant("_solve: the denominator keeps the last pivot's sign",
+           BIMATRIX, "sign = -1 if prev < 0 else 1", "sign = 1", "tests/test_bimatrix.py"),
+    Mutant("_solve: a row with a 0 in the pivot column is never rescaled",
+           BIMATRIX, "(f != 0 or p != prev)", "f != 0", "tests/test_bimatrix.py"),
+    Mutant("_solve: every row is rescaled, a 0 in the pivot column or not",
+           BIMATRIX, "if i != r and (f != 0 or p != prev):", "if i != r:",
+           "tests/test_bimatrix.py",
+           equivalent="with f == 0 and p == prev the update is (p * v) // prev == v, so it "
+                      "leaves the row as it was and changes only the time taken"),
     Mutant("_classes: a class tying its gold set's fewer-mine level is kept",
            ORACLE, "level[:, 1:] < np.minimum.accumulate", "level[:, 1:] <= np.minimum.accumulate",
            "tests/test_oracle.py"),

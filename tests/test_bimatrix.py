@@ -21,6 +21,7 @@ from capgames import (
 from capgames.errors import GameFormatError, PreconditionViolated, SizeLimitExceeded
 from capgames.game import cell
 from tests._support import (
+    _solve_over_fractions,
     cell_by_scan,
     expected_payoff,
     is_mixed_ne,
@@ -138,6 +139,29 @@ def test_support_enumeration_matches_elimination_over_fractions(data):
     found = support_enumeration(CapabilityGame.from_matrices(a, b))
     assert [(eq.x, eq.y, eq.values, eq.degenerate) for eq in found] == (
         support_enumeration_over_fractions(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_matches_elimination_over_fractions(data):
+    # square or not; entries in 0..1 and -2..2 make singular and inconsistent
+    # systems common, 2**70 makes every minor wide, and a row that is the sum
+    # of others makes the system rank-deficient
+    n, nvars = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    entries = data.draw(st.sampled_from((st.integers(0, 1), st.integers(-2, 2),
+                                         st.integers(-1000, 1000),
+                                         st.sampled_from((-(2**70), -1, 0, 1, 2**70)))))
+    rows = data.draw(st.lists(st.lists(entries, min_size=nvars + 1, max_size=nvars + 1),
+                              min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        summed = data.draw(st.sets(st.integers(0, n - 2), min_size=1))
+        rows[-1] = [sum(column) for column in zip(*(rows[i] for i in summed))]
+    numerators, den, status = bimatrix._solve(rows, nvars)
+    reference, expected = _solve_over_fractions(rows, nvars)
+    assert status == expected and (numerators is None) == (reference is None)
+    if reference is not None:
+        assert den > 0 and all(type(v) is int for v in numerators)
+        assert [F(v, den) for v in numerators] == reference
 
 
 @settings(max_examples=100, deadline=None)

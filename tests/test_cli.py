@@ -434,15 +434,17 @@ def test_game_ctf_pure_and_mixed(capsys):
     ]
 
 
-@pytest.mark.parametrize("name", ["generic", "tied"])
-def test_game_ctf_mixed_on_6x6_games_prints_its_recorded_table(capsys, name):
-    # payoffs -1000..1000 and 0..2, levels 2, 4, 6: most support pairs are
-    # skipped unsolved, and the table must be the one recorded before the skip
+@pytest.mark.parametrize("name", ["6x6_generic", "6x6_tied", "8x8_generic", "8x8_tied"])
+def test_game_ctf_mixed_prints_its_recorded_table(capsys, name):
+    # payoffs -1000..1000 and 0..2, levels 2, 4, 6 (and 8): most support pairs
+    # are skipped unsolved, and the 8x8 games reach the action bound; each
+    # table must be the one recorded before the skip (6x6) and before
+    # fraction-free elimination (8x8)
     data = Path(__file__).parent / "data"
-    code, out, _ = run(capsys, "game", "ctf", str(data / f"mixed_6x6_{name}.json"),
+    code, out, _ = run(capsys, "game", "ctf", str(data / f"mixed_{name}.json"),
                        "--mode", "mixed")
     assert code == 0
-    assert out == (data / f"mixed_6x6_{name}.mixed.txt").read_text()
+    assert out == (data / f"mixed_{name}.mixed.txt").read_text()
 
 
 def test_game_ctf_empty_payoff_set_renders_braces(capsys, tmp_path):

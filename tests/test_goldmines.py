@@ -106,11 +106,14 @@ class TestBoardLayout:
         assert [resource_type(i, 2) for i in range(8)] == expected
 
     def test_site_index_bounds(self):
-        for bad in (-1, 4):
+        # off the board, a fraction of a site, a boolean, and a fractional scale
+        for bad, scale in ((-1, 1), (4, 1), (1.5, 1), (True, 1), (0, 1.5)):
             with pytest.raises(OutOfRange):
-                resource_line(bad, 1)
+                resource_line(bad, scale)
             with pytest.raises(OutOfRange):
-                resource_type(bad, 1)
+                resource_type(bad, scale)
+        assert resource_line(np.int64(1), np.int64(1)) == 0
+        assert resource_type(np.int64(3), 1) == MINE
 
     def test_covers_is_the_standing_on_line_rule(self):
         f = (0, 0, 1, 1)
